@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from enum import Enum
 import json
 from pathlib import Path
 from typing import Callable, Sequence
@@ -297,11 +296,6 @@ def train_step(
     return loss
 
 
-class StartMode(Enum):
-    ALL_INDICES = "AllIndices"
-    RANDOM_UNIFORM = "RandomUniform"
-
-
 @dataclass(frozen=True)
 class EvalReport:
     episodes: int
@@ -376,61 +370,29 @@ def greedy_policy(params: dict[str, np.ndarray], arch: NetArch) -> GreedyPolicy:
     return policy
 
 
-def run_episode(env: AutofocusEnv, policy: GreedyPolicy, start_index: int | None = None,
-                rng: np.random.Generator | None = None) -> tuple[EpisodeOutcome, int, float]:
-    """Roll one episode to termination; returns (outcome, steps, end focus)."""
-    if start_index is not None:
-        state = env.reset_at(start_index)
-    else:
-        if rng is None:
-            raise ValueError("random starts need an RNG")
-        state = env.reset(rng)
+def run_episode(
+    env: AutofocusEnv, policy: GreedyPolicy, start_index: int
+) -> tuple[EpisodeOutcome, int, float]:
+    """Roll one episode from `start_index` to termination.
+
+    Returns (outcome, steps, normalized focus at the final position).
+    """
+    state = env.reset_at(start_index)
     while not env.done:
         transition = env.step(policy(state))
         state = transition.next_state
     return env.outcome, env.steps_taken, float(env.normalized_curve[env.position_index])
 
 
-def evaluate(
-    params: dict[str, np.ndarray],
-    arch: NetArch,
-    env: AutofocusEnv,
-    start_mode: StartMode = StartMode.ALL_INDICES,
-    episodes: int | None = None,
-    rng: np.random.Generator | None = None,
-    threads: int = 1,
-) -> EvalReport:
-    """Pure-greedy evaluation.  AllIndices runs one episode per stack index.
+def evaluate(params: dict[str, np.ndarray], arch: NetArch, env: AutofocusEnv) -> EvalReport:
+    """Pure-greedy evaluation: one episode from every stack index, in order.
 
-    Never touches parameters or running statistics.  With threads > 1 the
-    independent episodes are distributed over clones of the environment;
-    results are assembled in start order either way.
+    Never touches parameters or running statistics.
     """
     policy = greedy_policy(params, arch)
-    if start_mode is StartMode.ALL_INDICES:
-        starts: list[int | None] = list(range(env.n_positions))
-    else:
-        if episodes is None or episodes < 1:
-            raise ValueError("RandomUniform mode needs a positive episode count")
-        starts = [None] * episodes
-    if threads > 1 and start_mode is StartMode.ALL_INDICES and len(starts) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        # Contiguous chunks, one private env clone per chunk, so no two
-        # in-flight episodes ever share mutable episode state.  Random
-        # starts stay serial: they share the caller's RNG stream.
-        bounds = np.linspace(0, len(starts), min(threads, len(starts)) + 1).astype(int)
-        chunks = [starts[a:b] for a, b in zip(bounds, bounds[1:]) if b > a]
-
-        def worker(chunk: list[int | None]) -> list[tuple[EpisodeOutcome, int, float]]:
-            env_local = env.spawn()
-            return [run_episode(env_local, policy, start, None) for start in chunk]
-
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            results = [episode for part in pool.map(worker, chunks) for episode in part]
-    else:
-        results = [run_episode(env, policy, start, rng) for start in starts]
-    return EvalReport.from_episodes(results)
+    return EvalReport.from_episodes(
+        [run_episode(env, policy, start) for start in range(env.n_positions)]
+    )
 
 
 def train(
@@ -447,9 +409,14 @@ def train(
 
     Produces `train_log.csv` (one row per evaluation point), a checkpoint
     `ckpt_<timestep>` and matching `eval_<timestep>.json` at every
-    evaluation.  Resuming restarts from a checkpoint's parameters and step
-    counter with a fresh replay buffer.
+    evaluation.  Evaluations run serially on a second env over the same
+    stack, so the training episode in progress is left untouched.
+    Resuming restarts from a checkpoint's parameters and step counter with
+    a fresh replay buffer.  `eval_threads` must be 1; it remains only so
+    existing callers that pass it keep working.
     """
+    if eval_threads != 1:
+        raise ValueError(f"evaluation runs serially; eval_threads must be 1, got {eval_threads}")
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
 
@@ -466,7 +433,7 @@ def train(
     target_cache = TargetValueCache()
     optimizer = Adam(hyper.learning_rate, hyper.adam_beta1, hyper.adam_beta2, hyper.adam_eps)
     buffer = ReplayBuffer(hyper.replay_capacity)
-    eval_env = env.spawn()
+    eval_env = AutofocusEnv(env.cfg)
 
     history: list[dict] = []
     log_path = out_path / "train_log.csv"
@@ -497,7 +464,7 @@ def train(
                 target_params = copy_params(params)
                 target_cache.clear()
             if timestep % hyper.eval_interval == 0 or timestep == hyper.total_timesteps:
-                report = evaluate(params, arch, eval_env, threads=eval_threads)
+                report = evaluate(params, arch, eval_env)
                 mean_loss = float(np.mean(interval_losses)) if interval_losses else None
                 interval_losses = []
                 row = {

@@ -11,7 +11,6 @@ import argparse
 import dataclasses
 import importlib.resources
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -208,17 +207,6 @@ def list_presets() -> list[str]:
     return sorted(p.name[:-5] for p in root.iterdir() if p.name.endswith(".json"))
 
 
-def _eval_threads() -> int:
-    raw = os.environ.get("FOCUSRL_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"FOCUSRL_THREADS must be an integer, got {raw!r}") from exc
-    if threads < 1:
-        raise ConfigError(f"FOCUSRL_THREADS must be positive, got {threads}")
-    return threads
-
-
 def _require_empty_dir(path: Path) -> None:
     if path.exists() and any(path.iterdir()):
         raise FileExistsError(f"refusing to write into non-empty directory {path}")
@@ -314,7 +302,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         rng,
         out,
         resume_from=args.resume,
-        eval_threads=_eval_threads(),
         progress=progress,
     )
     elapsed = time.time() - started
@@ -337,7 +324,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             f"checkpoint expects {arch.input_size}px inputs, env delivers {cfg.net_input_size}px"
         )
     env = AutofocusEnv(cfg)
-    report = agent.evaluate(params, arch, env, threads=_eval_threads())
+    report = agent.evaluate(params, arch, env)
     payload = report.to_dict()
     payload["checkpoint_step"] = step
     payload["stack_view"] = stack.view_id
@@ -356,7 +343,8 @@ def cmd_baseline(args: argparse.Namespace) -> int:
         payload = baselines.hill_climb(env).to_dict()
     elif args.kind == "value-iteration":
         mdp = baselines.mdp_from_stack(stack, cfg)
-        gamma = config.hyperparams().gamma if "total_timesteps" in config.train else 0.99
+        gamma = (config.hyperparams().gamma if "total_timesteps" in config.train
+                 else agent.Hyperparams.gamma)
         q = baselines.value_iteration(mdp, gamma)
         payload = baselines.greedy_policy_report(q, mdp, env).to_dict()
     else:  # scan

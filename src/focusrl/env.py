@@ -10,11 +10,8 @@ steps).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, IntEnum
-import json
-from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -170,7 +167,6 @@ class AutofocusEnv:
         self._steps = 0
         self._outcome = EpisodeOutcome.RUNNING
         self._state: StateSeq | None = None
-        self.episode_records: list[dict] = []
 
     # -- episode control -------------------------------------------------
 
@@ -190,7 +186,6 @@ class AutofocusEnv:
             frames=(frame, frame, frame),
             action_codes=(NULL_ACTION_CODE, NULL_ACTION_CODE, NULL_ACTION_CODE),
         )
-        self.episode_records = []
         return self._state
 
     def seek(self, index: int, steps_taken: int) -> StateSeq:
@@ -204,26 +199,6 @@ class AutofocusEnv:
         state = self.reset_at(index)
         self._steps = steps_taken
         return state
-
-    def spawn(self) -> "AutofocusEnv":
-        """Independent episode runner sharing this env's immutable caches.
-
-        Evaluation runs concurrently with training on the same stack; the
-        clone shares frames and the focus curve but has its own position,
-        step counter, and outcome.
-        """
-        clone = object.__new__(AutofocusEnv)
-        clone.cfg = self.cfg
-        clone.normalized_curve = self.normalized_curve
-        clone.n_positions = self.n_positions
-        clone._index_steps = self._index_steps
-        clone._net_frames = self._net_frames
-        clone._index = 0
-        clone._steps = 0
-        clone._outcome = EpisodeOutcome.RUNNING
-        clone._state = None
-        clone.episode_records = []
-        return clone
 
     def step(self, action: Action | int) -> Transition:
         """Execute one action and return the transition."""
@@ -261,15 +236,6 @@ class AutofocusEnv:
         )
         self._state = next_state
         self._outcome = outcome
-        self.episode_records.append(
-            {
-                "step": self._steps,
-                "index": self._index,
-                "action": int(act),
-                "reward": step_reward,
-                "outcome": outcome.value,
-            }
-        )
         return Transition(
             state=prev_state,
             action=act,
@@ -302,15 +268,3 @@ class AutofocusEnv:
         """Indices whose normalized focus meets the success threshold."""
         return np.where(self.normalized_curve >= self.cfg.success_ratio)[0]
 
-
-def write_episode_log(records: Iterable[dict], path: str | Path) -> None:
-    """Write one JSON object per transition, newline-delimited."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True))
-            fh.write("\n")
-
-
-def read_episode_log(path: str | Path) -> list[dict]:
-    with open(path, encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]

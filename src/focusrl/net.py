@@ -18,7 +18,6 @@ from enum import Enum
 import json
 from pathlib import Path
 import struct
-import threading
 from typing import Sequence
 
 import numpy as np
@@ -165,10 +164,6 @@ def init_params(arch: NetArch, rng: np.random.Generator, dtype=np.float32) -> di
     return params
 
 
-def params_astype(params: dict[str, np.ndarray], dtype) -> dict[str, np.ndarray]:
-    return {name: arr.astype(dtype) for name, arr in params.items()}
-
-
 def copy_params(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     return {name: arr.copy() for name, arr in params.items()}
 
@@ -176,20 +171,21 @@ def copy_params(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
 # -- layer primitives ----------------------------------------------------
 
 
-class _Workspace(threading.local):
+class _Workspace:
     """Role-keyed scratch buffers, reused across steps.
 
     On one core the dominant cost of the big intermediate arrays is the
     page faulting of fresh allocations, so each role (e.g. the stage-2
     training-pass patch matrix) keeps one buffer alive and overwrites it.
-    A buffer is only valid until the next call that claims the same role;
-    a cached forward pass is therefore only usable for one backward pass,
-    taken before the next cached forward.  Thread-local so concurrent
-    inference passes cannot stomp each other's scratch space.
+    A buffer is only valid until the next call that claims the same role.
+    Every TRAIN forward claims the training roles, so a cached forward pass
+    is only usable until the next TRAIN forward: `train_passes` counts
+    them, and `backward_batch` refuses a cache from an earlier one.
     """
 
     def __init__(self):
         self._bufs: dict[str, np.ndarray] = {}
+        self.train_passes = 0
 
     def get(self, key: str, shape: tuple[int, ...], dtype) -> np.ndarray:
         buf = self._bufs.get(key)
@@ -197,9 +193,6 @@ class _Workspace(threading.local):
             buf = np.empty(shape, dtype)
             self._bufs[key] = buf
         return buf
-
-    def clear(self) -> None:
-        self._bufs.clear()
 
 
 _WS = _Workspace()
@@ -273,18 +266,14 @@ def _bn_forward(
     beta: np.ndarray,
     rmean: np.ndarray,
     rvar: np.ndarray,
-    mode: Mode,
     momentum: float,
     eps: float,
     update_running: bool,
     batch_stats: bool = True,
     role: str = "bn",
 ) -> tuple[np.ndarray, dict]:
+    """Batch norm of a TRAIN pass; INFER folds it into the conv weights."""
     bc = (slice(None), None, None, None)  # broadcast per-channel over (C, B, H, W)
-    if mode is Mode.INFER:
-        inv_std = 1.0 / np.sqrt(rvar + eps)
-        out = (x - rmean[bc]) * (gamma * inv_std)[bc] + beta[bc]
-        return out, {}
     mean = x.mean(axis=(1, 2, 3))
     var = x.var(axis=(1, 2, 3))
     inv_std = 1.0 / np.sqrt(var + eps)
@@ -433,6 +422,8 @@ def forward_batch(
             np.maximum(conv_out, 0, out=conv_out)
             out, _ = _pool_forward(conv_out, role=f"infer{i}")
     else:
+        _WS.train_passes += 1
+        cache["train_pass"] = _WS.train_passes
         for i in range(1, 5):
             x_in = out
             conv_out, cols = _conv_forward(x_in, params[f"conv{i}_w"], role=f"train{i}")
@@ -442,7 +433,6 @@ def forward_batch(
                 params[f"bn{i}_beta"],
                 params[f"bn{i}_rmean"],
                 params[f"bn{i}_rvar"],
-                mode,
                 arch.bn_momentum,
                 arch.bn_eps,
                 update_running,
@@ -508,7 +498,16 @@ def backward_batch(
     cache: dict,
     dq: np.ndarray,
 ) -> dict[str, np.ndarray]:
-    """Gradients of every learnable parameter given dL/dq."""
+    """Gradients of every learnable parameter given dL/dq.
+
+    `cache` must come from the latest TRAIN forward: a later one overwrites
+    the buffers it points into, so a stale cache raises RuntimeError.
+    """
+    if cache["train_pass"] != _WS.train_passes:
+        raise RuntimeError(
+            "stale forward cache: a later TRAIN forward reused its buffers; "
+            "run the forward pass again before backward_batch"
+        )
     grads: dict[str, np.ndarray] = {}
 
     grads["head_w"] = cache["h2"].T @ dq
@@ -704,10 +703,19 @@ def load_checkpoint(path: str | Path, expect_arch: NetArch | None = None) -> tup
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
-        (header_len,) = struct.unpack("<I", fh.read(4))
+        raw_len = fh.read(4)
+        if len(raw_len) != 4:
+            raise ValueError(f"{path}: truncated checkpoint header")
+        (header_len,) = struct.unpack("<I", raw_len)
+        # Malformed JSON or UTF-8 raises a ValueError subclass.
         header = json.loads(fh.read(header_len).decode("utf-8"))
+        if not isinstance(header, dict):
+            raise ValueError(f"{path}: checkpoint header is not a JSON object")
         if header.get("version") != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {header.get('version')}")
+        missing = [key for key in ("arch", "step", "arrays") if key not in header]
+        if missing:
+            raise ValueError(f"{path}: checkpoint header lacks {', '.join(missing)}")
         arch = NetArch.from_dict(header["arch"])
         if expect_arch is not None and arch != expect_arch:
             raise ValueError(

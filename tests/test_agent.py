@@ -13,7 +13,6 @@ from focusrl.agent import (
     EvalReport,
     Hyperparams,
     ReplayBuffer,
-    StartMode,
     TargetValueCache,
     bellman_target,
     epsilon_schedule,
@@ -452,20 +451,11 @@ class TestEvaluate:
         report = EvalReport.from_episodes(results)
         assert report.accuracy == 1.0
 
-    def test_random_uniform_needs_episode_count(self, env16, params16):
-        with pytest.raises(ValueError):
-            evaluate(params16, ARCH, env16, start_mode=StartMode.RANDOM_UNIFORM)
-
     def test_never_mutates_params(self, env16, params16):
         before = {k: v.copy() for k, v in params16.items()}
         evaluate(params16, ARCH, env16)
         for k, v in before.items():
             np.testing.assert_array_equal(params16[k], v)
-
-    def test_threaded_equals_serial(self, env16, params16):
-        serial = evaluate(params16, ARCH, env16, threads=1)
-        threaded = evaluate(params16, ARCH, env16, threads=3)
-        assert serial == threaded
 
     def test_run_episode_counts_terminate(self, env16):
         policy = lambda state: Action.TERMINATE  # noqa: E731
@@ -582,3 +572,9 @@ class TestTrain:
                 ARCH, np.random.default_rng(6), out,
                 resume_from=out / "ckpt_100",
             )
+
+    def test_evaluation_is_serial_only(self, env16, tmp_path):
+        hyper = Hyperparams(total_timesteps=50, **self.HYPER)
+        with pytest.raises(ValueError, match="eval_threads"):
+            train(env16, hyper, ARCH, np.random.default_rng(0), tmp_path / "run", eval_threads=2)
+        assert not (tmp_path / "run").exists()

@@ -7,9 +7,12 @@ whole file stays fast while still exercising real training runs.
 
 import json
 from pathlib import Path
+import struct
 
 import pytest
 
+from focusrl import baselines
+from focusrl.agent import Hyperparams
 from focusrl.cli import list_presets, load_config, main
 from focusrl.imaging import load_stack
 
@@ -242,21 +245,16 @@ class TestEval:
         assert main(["eval", ckpt, "--config", str(path)]) == 2
         assert "expects 16px inputs" in capsys.readouterr().err
 
-    def test_thread_count_does_not_change_the_report(
-        self, mini_config, mini_run, capsys, monkeypatch
-    ):
-        ckpt = str(mini_run / "ckpt_300")
-        assert main(["eval", ckpt, "--config", mini_config]) == 0
-        serial = json.loads(capsys.readouterr().out)
-        monkeypatch.setenv("FOCUSRL_THREADS", "3")
-        assert main(["eval", ckpt, "--config", mini_config]) == 0
-        assert json.loads(capsys.readouterr().out) == serial
-
-    def test_bad_thread_env_rejected(self, mini_config, mini_run, capsys, monkeypatch):
-        monkeypatch.setenv("FOCUSRL_THREADS", "zero")
-        ckpt = str(mini_run / "ckpt_300")
-        assert main(["eval", ckpt, "--config", mini_config]) == 2
-        assert "FOCUSRL_THREADS" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "data",
+        [b"FRLQ\x01", b"FRLQ" + struct.pack("<I", 14) + b'{"version": 1}'],
+        ids=["cut_in_header_length", "header_without_arch"],
+    )
+    def test_malformed_checkpoint_is_a_clean_error(self, data, mini_config, tmp_path, capsys):
+        path = tmp_path / "bad_ckpt"
+        path.write_bytes(data)
+        assert main(["eval", str(path), "--config", mini_config]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestBaseline:
@@ -280,3 +278,21 @@ class TestBaseline:
         payload = json.loads(capsys.readouterr().out)
         assert payload["accuracy"] == 1.0
         assert payload["avg_steps"] < 3.0
+
+    def test_value_iteration_without_train_section_uses_default_gamma(
+        self, mini_stack_dir, tmp_path, monkeypatch
+    ):
+        doc = {key: value for key, value in MINI.items() if key != "train"}
+        path = tmp_path / "no_train.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        solve = baselines.value_iteration
+        used = []
+
+        def spy(mdp, gamma, *args, **kwargs):
+            used.append(gamma)
+            return solve(mdp, gamma, *args, **kwargs)
+
+        monkeypatch.setattr(baselines, "value_iteration", spy)
+        code = main(["baseline", "value-iteration", "--config", str(path), "--stack", mini_stack_dir])
+        assert code == 0
+        assert used == [Hyperparams.gamma]

@@ -13,9 +13,7 @@ from focusrl.env import (
     StateSeq,
     action_delta,
     is_success,
-    read_episode_log,
     reward,
-    write_episode_log,
 )
 
 
@@ -320,33 +318,3 @@ class TestInvariants:
             expected = exp1_env.normalized_curve[i] >= exp1_env.cfg.success_ratio
             got = tr.outcome is EpisodeOutcome.SUCCESS_TERMINATE
             assert got == expected, f"index {i}"
-
-
-class TestSpawn:
-    def test_clone_runs_independent_episode(self, tiny_env):
-        tiny_env.reset_at(2)
-        clone = tiny_env.spawn()
-        clone.reset_at(7)
-        clone.step(Action.FINE_POSITIVE)
-        assert tiny_env.position_index == 2
-        assert tiny_env.steps_taken == 0
-        assert clone.position_index == 8
-
-    def test_clone_shares_frames(self, tiny_env):
-        clone = tiny_env.spawn()
-        a = tiny_env.reset_at(4)
-        b = clone.reset_at(4)
-        assert a.frames[0] is b.frames[0]
-
-
-class TestEpisodeLog:
-    def test_round_trip(self, tiny_env, tmp_path, rng):
-        tiny_env.reset(rng)
-        while not tiny_env.done:
-            tiny_env.step(Action(int(rng.integers(5))))
-        path = tmp_path / "episode.jsonl"
-        write_episode_log(tiny_env.episode_records, path)
-        loaded = read_episode_log(path)
-        assert loaded == tiny_env.episode_records
-        for record in loaded:
-            assert set(record) == {"step", "index", "action", "reward", "outcome"}

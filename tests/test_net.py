@@ -277,6 +277,17 @@ class TestBackward:
         for name in learnable_names(SMALL):
             assert grads[name].shape == params[name].shape
 
+    def test_stale_cache_rejected(self, rng):
+        # A later TRAIN forward overwrites the buffers an earlier cache points
+        # into, which would silently corrupt that cache's gradients.
+        params = init_params(SMALL, rng)
+        x_a, onehot_a = _random_batch(SMALL, rng)
+        x_b, onehot_b = _random_batch(SMALL, rng)
+        q, cache_a = forward_batch(params, SMALL, x_a, onehot_a, Mode.TRAIN, want_cache=True)
+        forward_batch(params, SMALL, x_b, onehot_b, Mode.TRAIN)
+        with pytest.raises(RuntimeError, match="stale"):
+            backward_batch(params, SMALL, cache_a, q)
+
 
 class TestGradientCheck:
     def test_linear_head_is_exact(self):
