@@ -121,7 +121,13 @@ class ReplayBuffer:
 
 
 class Adam:
-    """Standard Adam with bias correction, updating arrays in place."""
+    """Standard Adam with bias correction, updating arrays in place.
+
+    Each array keeps its moments and two scratch buffers, so a step
+    allocates nothing; the operations and their order are those of
+    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g, and
+    p -= lr m_hat / (sqrt(v_hat) + eps).
+    """
 
     def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr = lr
@@ -129,25 +135,33 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
+        self._state: dict[str, tuple[np.ndarray, ...]] = {}
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         for name, grad in grads.items():
-            m = self._m.get(name)
-            if m is None:
-                m = self._m[name] = np.zeros_like(params[name])
-                self._v[name] = np.zeros_like(params[name])
-            v = self._v[name]
+            state = self._state.get(name)
+            if state is None:
+                p = params[name]
+                state = self._state[name] = (
+                    np.zeros_like(p), np.zeros_like(p), np.empty_like(p), np.empty_like(p)
+                )
+            m, v, step, denom = state
             m *= b1
-            m += (1.0 - b1) * grad
+            np.multiply(1.0 - b1, grad, out=step)
+            m += step
             v *= b2
-            v += (1.0 - b2) * grad * grad
-            m_hat = m / (1.0 - b1**self.t)
-            v_hat = v / (1.0 - b2**self.t)
-            params[name] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            np.multiply(1.0 - b2, grad, out=step)
+            step *= grad
+            v += step
+            np.divide(m, 1.0 - b1**self.t, out=step)
+            np.divide(v, 1.0 - b2**self.t, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            np.multiply(self.lr, step, out=step)
+            step /= denom
+            params[name] -= step
 
 
 def select_action(

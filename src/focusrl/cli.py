@@ -11,6 +11,8 @@ import argparse
 import dataclasses
 import importlib.resources
 import json
+import os
+import platform
 import sys
 import time
 from pathlib import Path
@@ -219,6 +221,37 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine()
+
+
+def _machine_info() -> dict:
+    """The software and CPU a run was made on.
+
+    Bit-for-bit reproducibility rests on the BLAS build: its kernels fix
+    the summation order of every matrix product.
+    """
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (KeyError, TypeError):  # numpy < 1.25 has no mode="dicts"
+        blas = {}
+    return {
+        "numpy": np.__version__,
+        "blas_name": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "python": platform.python_version(),
+        "cpu_model": _cpu_model(),
+    }
+
+
 # -- subcommands ---------------------------------------------------------
 
 
@@ -282,6 +315,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             "net": arch.to_dict(),
             "params": count_params(arch),
             "macs": count_macs(arch),
+            "machine": _machine_info(),
         },
     )
     started = time.time()

@@ -52,6 +52,12 @@ class NetArch:
     def __post_init__(self):
         if len(self.conv_channels) != 4:
             raise ValueError("expected exactly four conv stages")
+        sizes = (
+            self.input_size, *self.conv_channels, self.reduce_channels, self.embed_dim,
+            self.fc_width, self.kernel_size, self.history, self.action_vocab, self.n_actions,
+        )
+        if any(type(size) is not int or size < 1 for size in sizes):
+            raise ValueError(f"sizes and counts must be positive integers, got {sizes}")
         if self.input_size % 16 != 0 or self.input_size < 16:
             raise ValueError(
                 f"input_size must be a positive multiple of 16, got {self.input_size}"
@@ -174,9 +180,14 @@ def copy_params(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
 class _Workspace:
     """Role-keyed scratch buffers, reused across steps.
 
-    On one core the dominant cost of the big intermediate arrays is the
-    page faulting of fresh allocations, so each role (e.g. the stage-2
-    training-pass patch matrix) keeps one buffer alive and overwrites it.
+    Each role (e.g. the stage-2 training-pass patch matrix) keeps one
+    buffer alive and overwrites it.  Page faults of fresh allocations are
+    not what makes the big matrix products slow: on a 2-vCPU Xeon with
+    OpenBLAS 0.3.31 on one thread, the stage-2 dx patch product at exp1
+    scale (batch 32) took 19.4 ms into a fresh array, 19.2 ms into a
+    preallocated one, and 8.1 ms (7.9 ms fresh) with rows padded as in
+    `_im2col`.  Inside the train loop, fresh arrays for every role did cost
+    about 8% of env steps/s.
     A buffer is only valid until the next call that claims the same role.
     Every TRAIN forward claims the training roles, so a cached forward pass
     is only usable until the next TRAIN forward: `train_passes` counts
@@ -197,39 +208,56 @@ class _Workspace:
 
 _WS = _Workspace()
 
+# Patch-matrix rows are this many elements longer than their data; see
+# `_im2col`.
+ROW_PAD = 16
+
 
 def _im2col(x: np.ndarray, k: int, role: str) -> np.ndarray:
     """(C, B, H, W) -> (C*k*k, B*H*W) patches of the zero-padded input.
 
     The trunk keeps activations channel-major so these patch copies and the
-    matmul results are contiguous without any transposes.
+    matmul results are contiguous within a row without any transposes.
+    Rows are B*H*W + ROW_PAD elements apart.  At batch 32, B*H*W is a
+    power of two (a stage-1 row at exp1 scale is 512 KiB), and the skinny
+    matmuls that read or write rows a power of two apart keep hitting the
+    same cache sets; the padding spreads them out without changing any
+    product.
     """
     c, b, h, w = x.shape
     pad = k // 2
+    n = b * h * w
     xpad = _WS.get(f"{role}.xpad", (c, b, h + 2 * pad, w + 2 * pad), x.dtype)
     xpad[:, :, :pad, :] = 0
     xpad[:, :, h + pad :, :] = 0
     xpad[:, :, pad : h + pad, :pad] = 0
     xpad[:, :, pad : h + pad, w + pad :] = 0
     xpad[:, :, pad : h + pad, pad : w + pad] = x
-    cols = _WS.get(f"{role}.cols", (c, k, k, b, h, w), x.dtype)
-    for ki in range(k):
-        for kj in range(k):
-            cols[:, ki, kj] = xpad[:, :, ki : ki + h, kj : kj + w]
-    return cols.reshape(c * k * k, b * h * w)
+    cols = _WS.get(f"{role}.cols", (c * k * k, n + ROW_PAD), x.dtype)[:, :n]
+    # Every window of xpad as a (C, k, k, B, H, W) view, copied in one pass.
+    sc, sb, sh, sw = xpad.strides
+    windows = np.ndarray((c, k, k, b, h, w), xpad.dtype, xpad, 0, (sc, sh, sw, sb, sh, sw))
+    cols.reshape(c, k, k, b, h, w)[...] = windows  # a view: only the unpadded axis splits
+    return cols
 
 
 def _col2im(dcols: np.ndarray, shape: tuple[int, int, int, int], k: int, role: str) -> np.ndarray:
-    """Scatter-add the transpose of `_im2col` back to input shape."""
+    """Scatter-add the transpose of `_im2col` back to a (C, B, H, W) view.
+
+    `dcols` holds its columns in (H, W, B) order, not `_im2col`'s (B, H,
+    W), and so does the padded accumulator: each of the k*k shifted adds
+    then runs over W*B contiguous elements instead of W.  Every element
+    still sums the same k*k terms in the same order.
+    """
     c, b, h, w = shape
     pad = k // 2
-    dcols = dcols.reshape(c, k, k, b, h, w)
-    dxpad = _WS.get(f"{role}.dxpad", (c, b, h + 2 * pad, w + 2 * pad), dcols.dtype)
+    dcols = dcols.reshape(c, k, k, h, w, b)
+    dxpad = _WS.get(f"{role}.dxpad", (c, h + 2 * pad, w + 2 * pad, b), dcols.dtype)
     dxpad.fill(0)
     for ki in range(k):
         for kj in range(k):
-            dxpad[:, :, ki : ki + h, kj : kj + w] += dcols[:, ki, kj]
-    return dxpad[:, :, pad : pad + h, pad : pad + w]
+            dxpad[:, ki : ki + h, kj : kj + w] += dcols[:, ki, kj]
+    return dxpad[:, pad : pad + h, pad : pad + w].transpose(0, 3, 1, 2)
 
 
 def _conv_forward(x: np.ndarray, w: np.ndarray, role: str) -> tuple[np.ndarray, np.ndarray]:
@@ -256,7 +284,15 @@ def _conv_backward(
     dw = (cols @ dout_mat.T).T.reshape(w.shape)
     dx = None
     if need_dx:
-        dx = _col2im(w.reshape(c_out, -1).T @ dout_mat, x_shape, k, role)
+        # Columns in (H, W, B) order for `_col2im`; permuting the columns
+        # of a matrix product leaves each of its elements as it was.  Rows
+        # padded as in `_im2col`, in a fresh buffer: one kept per stage
+        # would add its size to the peak memory of every forward pass.
+        n = b * h * width
+        dout_hwb = np.ascontiguousarray(dout.transpose(0, 2, 3, 1)).reshape(c_out, n)
+        dcols = np.empty((cols.shape[0], n + ROW_PAD), dout.dtype)[:, :n]
+        np.matmul(w.reshape(c_out, -1).T, dout_hwb, out=dcols)
+        dx = _col2im(dcols, x_shape, k, role)
     return dx, dw
 
 
@@ -272,15 +308,24 @@ def _bn_forward(
     batch_stats: bool = True,
     role: str = "bn",
 ) -> tuple[np.ndarray, dict]:
-    """Batch norm of a TRAIN pass; INFER folds it into the conv weights."""
+    """Batch norm of a TRAIN pass; INFER folds it into the conv weights.
+
+    Overwrites `x` with the output: the input is dead once centred.
+    """
     bc = (slice(None), None, None, None)  # broadcast per-channel over (C, B, H, W)
     mean = x.mean(axis=(1, 2, 3))
-    var = x.var(axis=(1, 2, 3))
-    inv_std = 1.0 / np.sqrt(var + eps)
     xhat = _WS.get(f"{role}.xhat", x.shape, x.dtype)
     np.subtract(x, mean[bc], out=xhat)
+    out = x
+    # x.var's own steps on the centred buffer, with `out` holding the
+    # squares: mean of the squared deviations.  Dividing in the array's
+    # dtype rounds like np.var's float64 division does, because a count
+    # under 2**24 is exact in float32.
+    np.square(xhat, out=out)
+    var = out.sum(axis=(1, 2, 3))
+    var /= x[0].size
+    inv_std = 1.0 / np.sqrt(var + eps)
     xhat *= inv_std[bc]
-    out = _WS.get(f"{role}.bnout", x.shape, x.dtype)
     renorm = None
     if batch_stats:
         np.multiply(xhat, gamma[bc], out=out)
@@ -332,28 +377,51 @@ def _pool_windows(x: np.ndarray) -> tuple[np.ndarray, ...]:
     return (x[..., 0::2, 0::2], x[..., 0::2, 1::2], x[..., 1::2, 0::2], x[..., 1::2, 1::2])
 
 
-def _pool_forward(x: np.ndarray, role: str = "pool") -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """2x2 max pool; the context holds what the backward pass needs."""
+def _pool_forward(
+    x: np.ndarray, role: str = "pool", route: bool = False
+) -> tuple[np.ndarray, tuple | None]:
+    """2x2 max pool.
+
+    With `route`, the context records which cell of each window won, for
+    `_pool_backward`: the first maximal cell in the order 00, 01, 10, 11.
+    """
     w00, w01, w10, w11 = _pool_windows(x)
     out = _WS.get(f"{role}.pout", w00.shape, x.dtype)
     tmp = _WS.get(f"{role}.ptmp", w00.shape, x.dtype)
     np.maximum(w00, w01, out=out)
     np.maximum(w10, w11, out=tmp)
+    if not route:
+        np.maximum(out, tmp, out=out)
+        return out, None
+    # A later cell wins a pair only if strictly greater, so ties go first.
+    right = np.greater(w01, w00, out=_WS.get(f"{role}.right", w00.shape, bool))
+    low_right = np.greater(w11, w10, out=_WS.get(f"{role}.lowright", w00.shape, bool))
+    low = np.greater(tmp, out, out=_WS.get(f"{role}.low", w00.shape, bool))
     np.maximum(out, tmp, out=out)
-    return out, (x, out)
+    return out, (x.shape, out, right, low_right, low)
 
 
-def _pool_backward(dout: np.ndarray, ctx: tuple[np.ndarray, np.ndarray], role: str) -> np.ndarray:
-    """Route each output gradient to the first maximal cell of its window."""
-    x, out = ctx
-    dx = _WS.get(f"{role}.dpool", x.shape, dout.dtype)
-    dx.fill(0)
-    taken = _WS.get(f"{role}.taken", dout.shape, bool)
-    taken.fill(False)
-    for w, slot in zip(_pool_windows(x), _pool_windows(dx)):
-        win = (w == out) & ~taken
-        np.copyto(slot, dout, where=win)
-        taken |= win
+def _pool_backward(dout: np.ndarray, ctx: tuple, role: str) -> np.ndarray:
+    """Gradient at the ReLU input of a routed `_pool_forward`.
+
+    Each output gradient goes to the winning cell of its window, times the
+    ReLU mask there, which is `pooled > 0` since the pool input is the
+    ReLU output; every other cell gets +0.0.
+    The selections run on the float bits as integers, where a multiply by
+    a 0/1 flag gives either the bits or +0.0 exactly.
+    """
+    x_shape, pooled, right, low_right, low = ctx
+    grad = np.multiply(dout, pooled > 0, order="C")
+    as_int = np.dtype(f"i{grad.itemsize}")
+    bits = grad.view(as_int)
+    dx = _WS.get(f"{role}.dpool", x_shape, grad.dtype)
+    d00, d01, d10, d11 = (q.view(as_int) for q in _pool_windows(dx))
+    lower = bits * low
+    upper = np.subtract(bits, lower, out=bits)
+    np.multiply(upper, right, out=d01)
+    np.subtract(upper, d01, out=d00)
+    np.multiply(lower, low_right, out=d11)
+    np.subtract(lower, d11, out=d10)
     return dx
 
 
@@ -406,7 +474,7 @@ def forward_batch(
     if mode is Mode.INFER and (update_running or want_cache):
         raise ValueError("running-stat updates and backward caches need TRAIN mode")
 
-    cache: dict = {"x_shapes": [], "cols": [], "bn": [], "relu": [], "pool": []}
+    cache: dict = {"x_shapes": [], "cols": [], "bn": [], "pool": []}
     # The trunk runs channel-major (C, B, H, W); see `_im2col`.
     out = np.ascontiguousarray(x.transpose(1, 0, 2, 3))
     if mode is Mode.INFER:
@@ -439,15 +507,12 @@ def forward_batch(
                 batch_stats,
                 role=f"train{i}",
             )
-            relu_mask = _WS.get(f"train{i}.mask", bn_out.shape, bool)
-            np.greater(bn_out, 0, out=relu_mask)
-            bn_out *= relu_mask  # the normalized buffer becomes the ReLU output
-            pool_out, pool_ctx = _pool_forward(bn_out, role=f"train{i}")
+            bn_out *= bn_out > 0  # the normalized buffer becomes the ReLU output
+            pool_out, pool_ctx = _pool_forward(bn_out, role=f"train{i}", route=want_cache)
             if want_cache:
                 cache["x_shapes"].append(x_in.shape)
                 cache["cols"].append(cols)
                 cache["bn"].append(bn_ctx)
-                cache["relu"].append(relu_mask)
                 cache["pool"].append(pool_ctx)
             out = pool_out
 
@@ -538,7 +603,6 @@ def backward_batch(
 
     for i in range(4, 0, -1):
         drelu = _pool_backward(dout, cache["pool"][i - 1], role=f"bwd{i}")
-        drelu *= cache["relu"][i - 1]
         dconv, dgamma, dbeta = _bn_backward(drelu, cache["bn"][i - 1], role=f"bwd{i}")
         grads[f"bn{i}_gamma"] = dgamma
         grads[f"bn{i}_beta"] = dbeta
@@ -698,7 +762,18 @@ def save_checkpoint(path: str | Path, params: dict[str, np.ndarray], arch: NetAr
             fh.write(np.ascontiguousarray(params[name], dtype="<f4").tobytes())
 
 
+def _is_array_entry(entry) -> bool:
+    """A manifest entry: a string name and a list of non-negative int dims."""
+    return (
+        isinstance(entry, dict)
+        and isinstance(entry.get("name"), str)
+        and isinstance(entry.get("shape"), list)
+        and all(type(dim) is int and dim >= 0 for dim in entry["shape"])
+    )
+
+
 def load_checkpoint(path: str | Path, expect_arch: NetArch | None = None) -> tuple[dict[str, np.ndarray], NetArch, int]:
+    """Read a `save_checkpoint` file; a malformed one raises ValueError."""
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
@@ -716,27 +791,40 @@ def load_checkpoint(path: str | Path, expect_arch: NetArch | None = None) -> tup
         missing = [key for key in ("arch", "step", "arrays") if key not in header]
         if missing:
             raise ValueError(f"{path}: checkpoint header lacks {', '.join(missing)}")
-        arch = NetArch.from_dict(header["arch"])
+        if not isinstance(header["arch"], dict):
+            raise ValueError(f"{path}: checkpoint architecture is not a JSON object")
+        try:
+            arch = NetArch.from_dict(header["arch"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(
+                f"{path}: bad checkpoint architecture: {type(exc).__name__}: {exc}"
+            ) from None
         if expect_arch is not None and arch != expect_arch:
             raise ValueError(
                 f"{path}: checkpoint architecture {arch.to_dict()} does not match "
                 f"the requested architecture {expect_arch.to_dict()}"
             )
+        step = header["step"]
+        if type(step) is not int or step < 0:
+            raise ValueError(f"{path}: checkpoint step must be a non-negative integer, got {step!r}")
+        arrays = header["arrays"]
+        if not isinstance(arrays, list) or not all(_is_array_entry(e) for e in arrays):
+            raise ValueError(
+                f"{path}: checkpoint arrays must be a list of entries with a string name "
+                "and a list of non-negative integer shape"
+            )
+        manifest = {entry["name"]: tuple(entry["shape"]) for entry in arrays}
+        expected = {name: shape for name, shape, _ in param_spec(arch)}
+        if len(manifest) != len(arrays) or manifest != expected:
+            raise ValueError(f"{path}: array manifest does not match the declared architecture")
         params: dict[str, np.ndarray] = {}
-        for entry in header["arrays"]:
-            shape = tuple(entry["shape"])
+        for name, shape in manifest.items():
             count = int(np.prod(shape)) if shape else 1
             data = fh.read(count * 4)
             if len(data) != count * 4:
-                raise ValueError(f"{path}: truncated checkpoint data at {entry['name']}")
-            params[entry["name"]] = np.frombuffer(data, dtype="<f4").reshape(shape).astype(
-                np.float32
-            )
+                raise ValueError(f"{path}: truncated checkpoint data at {name}")
+            params[name] = np.frombuffer(data, dtype="<f4").reshape(shape).astype(np.float32)
         extra = fh.read(1)
         if extra:
             raise ValueError(f"{path}: trailing bytes after the last array")
-    expected = {name: shape for name, shape, _ in param_spec(arch)}
-    got = {name: arr.shape for name, arr in params.items()}
-    if {k: tuple(v) for k, v in got.items()} != expected:
-        raise ValueError(f"{path}: array manifest does not match the declared architecture")
-    return params, arch, int(header["step"])
+    return params, arch, step

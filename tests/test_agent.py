@@ -190,6 +190,32 @@ class TestAdam:
             ref -= lr * m_hat / (np.sqrt(v_hat) + eps)
             np.testing.assert_allclose(params["w"], ref, rtol=1e-12)
 
+    def test_float32_steps_match_the_formula_bit_for_bit(self):
+        # The learner's case: float32 arrays of several shapes, the formula
+        # written with fresh temporaries, compared by bytes.  Parameters
+        # start at zero so that they are the size of the steps, and a last
+        # bit of a step does not round away.
+        lr, b1, b2, eps = 1e-4, 0.9, 0.999, 1e-8
+        rng = np.random.default_rng(4)
+        shapes = {"w": (7, 5), "b": (5,), "k": (3, 2, 5, 5)}
+        params = {n: np.zeros(s, dtype=np.float32) for n, s in shapes.items()}
+        ref = {n: p.copy() for n, p in params.items()}
+        m = {n: np.zeros_like(p) for n, p in params.items()}
+        v = {n: np.zeros_like(p) for n, p in params.items()}
+        opt = Adam(lr, b1, b2, eps)
+        for t in range(1, 6):
+            grads = {n: rng.standard_normal(s).astype(np.float32) for n, s in shapes.items()}
+            opt.step(params, {n: g.copy() for n, g in grads.items()})
+            for n, grad in grads.items():
+                m[n] *= b1
+                m[n] += (1.0 - b1) * grad
+                v[n] *= b2
+                v[n] += (1.0 - b2) * grad * grad
+                m_hat = m[n] / (1.0 - b1**t)
+                v_hat = v[n] / (1.0 - b2**t)
+                ref[n] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+                assert params[n].tobytes() == ref[n].tobytes(), (n, t)
+
     def test_zero_gradient_moves_nothing(self):
         opt = Adam(1e-3)
         params = {"w": np.array([5.0])}

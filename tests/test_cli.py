@@ -6,9 +6,12 @@ whole file stays fast while still exercising real training runs.
 """
 
 import json
+import os
 from pathlib import Path
+import platform
 import struct
 
+import numpy as np
 import pytest
 
 from focusrl import baselines
@@ -187,6 +190,17 @@ class TestTrain:
         assert meta["params"] > 0 and meta["macs"] > 0
         assert meta["elapsed_seconds"] > 0
 
+    def test_run_meta_records_the_machine(self, mini_run):
+        meta = json.loads((mini_run / "run_meta.json").read_text(encoding="utf-8"))
+        machine = meta["machine"]
+        assert set(machine) == {
+            "numpy", "blas_name", "blas_version", "openblas_num_threads", "python", "cpu_model",
+        }
+        assert machine["numpy"] == np.__version__
+        assert machine["python"] == platform.python_version()
+        assert machine["openblas_num_threads"] == os.environ.get("OPENBLAS_NUM_THREADS")
+        assert machine["cpu_model"]
+
     def test_fixed_seed_runs_are_bit_identical(self, mini_config, mini_run, tmp_path):
         out = tmp_path / "r2"
         assert main(["train", "--config", mini_config, "--out", str(out)]) == 0
@@ -247,12 +261,58 @@ class TestEval:
 
     @pytest.mark.parametrize(
         "data",
-        [b"FRLQ\x01", b"FRLQ" + struct.pack("<I", 14) + b'{"version": 1}'],
-        ids=["cut_in_header_length", "header_without_arch"],
+        [
+            b"FRLQ\x01",
+            b"FRLQ" + struct.pack("<I", 14) + b'{"version": 1}',
+            b"FRLQ" + struct.pack("<I", 51) + b'{"version": 1, "arch": {}, "step": 0, "arrays": []}',
+        ],
+        ids=["cut_in_header_length", "header_without_arch", "empty_arch"],
     )
     def test_malformed_checkpoint_is_a_clean_error(self, data, mini_config, tmp_path, capsys):
         path = tmp_path / "bad_ckpt"
         path.write_bytes(data)
+        assert main(["eval", str(path), "--config", mini_config]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda h: h["arch"].update(colour=1),
+            lambda h: h["arch"].update(conv_channels=8),
+            lambda h: h["arch"].update(input_size=16.0),
+            lambda h: h.update(arch=[["input_size", 16]]),
+            lambda h: h.update(step=-1),
+            lambda h: h.update(step="300"),
+            lambda h: h.update(step=1.5),
+            lambda h: h.update(step=True),
+            lambda h: h.update(arrays={}),
+            lambda h: h["arrays"][0].pop("shape"),
+            lambda h: h["arrays"][0].pop("name"),
+            lambda h: h["arrays"][0].update(name=3),
+            lambda h: h["arrays"][0].update(shape=2),
+            lambda h: h["arrays"][0].update(shape=[-1, 2]),
+            lambda h: h["arrays"][0].update(shape=[2.0, 3, 5, 5]),
+            lambda h: h["arrays"].append(h["arrays"][0]),
+        ],
+        ids=[
+            "arch_unknown_key", "arch_bad_channels", "arch_float_size", "arch_not_object",
+            "step_negative", "step_string", "step_float", "step_bool",
+            "arrays_not_list", "entry_without_shape", "entry_without_name",
+            "name_not_string", "shape_not_list", "negative_dim", "float_dim",
+            "duplicate_entry",
+        ],
+    )
+    def test_malformed_header_values_are_clean_errors(
+        self, edit, mini_config, mini_run, tmp_path, capsys
+    ):
+        # Only the edited header value is wrong: the arrays are the real ones.
+        data = (mini_run / "ckpt_300").read_bytes()
+        (header_len,) = struct.unpack("<I", data[4:8])
+        header = json.loads(data[8 : 8 + header_len])
+        edit(header)
+        blob = json.dumps(header).encode("utf-8")
+        path = tmp_path / "bad_ckpt"
+        path.write_bytes(b"FRLQ" + struct.pack("<I", len(blob)) + blob + data[8 + header_len :])
         assert main(["eval", str(path), "--config", mini_config]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 

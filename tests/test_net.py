@@ -27,6 +27,12 @@ from focusrl.net import (
     param_spec,
     save_checkpoint,
     states_to_batch,
+    _bn_forward,
+    _conv_backward,
+    _conv_forward,
+    _pool_backward,
+    _pool_forward,
+    _pool_windows,
 )
 
 SMALL = NetArch(input_size=16, conv_channels=(2, 3, 4, 5), reduce_channels=3, embed_dim=6, fc_width=8)
@@ -50,6 +56,12 @@ class TestNetArch:
     def test_rejects_even_kernel(self):
         with pytest.raises(ValueError):
             NetArch(kernel_size=4)
+
+    def test_rejects_non_integer_sizes(self):
+        with pytest.raises(ValueError, match="positive integers"):
+            NetArch(input_size=64.0)
+        with pytest.raises(ValueError, match="positive integers"):
+            NetArch(conv_channels=(8, 16, 0, 64))
 
     def test_rejects_wrong_stage_count(self):
         with pytest.raises(ValueError):
@@ -287,6 +299,142 @@ class TestBackward:
         forward_batch(params, SMALL, x_b, onehot_b, Mode.TRAIN)
         with pytest.raises(RuntimeError, match="stale"):
             backward_batch(params, SMALL, cache_a, q)
+
+
+def _bits_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """Same shape, dtype and bytes: tells +0.0 from -0.0, unlike ==."""
+    return (
+        a.shape == b.shape
+        and a.dtype == b.dtype
+        and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+    )
+
+
+def _reference_pool_backward(x, pooled, dout, relu_mask):
+    """Compare every cell with the window max; the first equal one takes
+    the gradient, then the full-size ReLU mask applies."""
+    dx = np.zeros(x.shape, dout.dtype)
+    taken = np.zeros(dout.shape, bool)
+    for w, slot in zip(_pool_windows(x), _pool_windows(dx)):
+        win = (w == pooled) & ~taken
+        np.copyto(slot, dout, where=win)
+        taken |= win
+    dx *= relu_mask
+    return dx
+
+
+def _windows_of_every_tie(dtype):
+    """(1, n, 2, 2) pre-ReLU windows: for each of the 15 non-empty sets of
+    cells, the set holds the maximum (positive, zero or negative) and the
+    rest lie below; plus windows mixing -0.0 and +0.0."""
+    windows = []
+    for top in (3.0, 0.0, -1.0):
+        for cells in range(1, 16):
+            win = np.full(4, top - 2.0)
+            win[[bit for bit in range(4) if cells >> bit & 1]] = top
+            windows.append(win)
+    windows.append(np.array([-0.0, 0.0, -0.0, 0.0]))
+    windows.append(np.array([0.0, -0.0, 0.0, -0.0]))
+    return np.array(windows, dtype=dtype).reshape(1, -1, 2, 2)
+
+
+class TestPoolRouting:
+    """The routed pool backward against the compare-every-cell reference."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_tie_routes_to_the_first_max(self, dtype):
+        z = _windows_of_every_tie(dtype)
+        z = np.concatenate([z, -z], axis=1)
+        relu_mask = z > 0
+        x = z * relu_mask  # as the forward pass applies the ReLU
+        rng = np.random.default_rng(2)
+        for dout_sign in (1.0, -1.0):
+            pooled, ctx = _pool_forward(x, role="probe", route=True)
+            dout = (dout_sign * rng.uniform(0.5, 2.0, size=pooled.shape)).astype(dtype)
+            want = _reference_pool_backward(x, pooled.copy(), dout, relu_mask)
+            got = _pool_backward(dout.copy(), ctx, role="probe")
+            assert _bits_equal(got, want)
+
+    def test_random_maps_with_ties(self):
+        rng = np.random.default_rng(3)
+        # Few distinct levels make ties common; negatives exercise the ReLU.
+        z = rng.integers(-3, 4, size=(3, 4, 8, 8)).astype(np.float32)
+        relu_mask = z > 0
+        x = z * relu_mask
+        pooled, ctx = _pool_forward(x, role="probe", route=True)
+        dout = rng.standard_normal(pooled.shape).astype(np.float32)
+        want = _reference_pool_backward(x, pooled.copy(), dout, relu_mask)
+        assert _bits_equal(_pool_backward(dout, ctx, role="probe"), want)
+
+    def test_routing_leaves_the_pooled_values_alone(self):
+        x = np.random.default_rng(4).standard_normal((2, 3, 6, 6)).astype(np.float32)
+        plain, _ = _pool_forward(x, role="probe_plain")
+        routed, _ = _pool_forward(x, role="probe_routed", route=True)
+        assert _bits_equal(routed, plain)
+
+
+class TestBatchNormVariance:
+    @pytest.mark.parametrize("shape", [(3, 5, 7, 9), (4, 8, 16, 16), (2, 32, 32, 32)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_variance_is_np_var(self, shape, dtype):
+        rng = np.random.default_rng(5)
+        x = (rng.standard_normal(shape) * 3.0 + 1.5).astype(dtype)
+        c = shape[0]
+        gamma, beta = np.ones(c, dtype), np.zeros(c, dtype)
+        rmean, rvar = np.zeros(c, dtype), np.ones(c, dtype)
+        # Momentum 0 makes the running variance the batch variance itself.
+        _, ctx = _bn_forward(x.copy(), gamma, beta, rmean, rvar, momentum=0.0, eps=1e-5,
+                             update_running=True, role="probe")
+        var = x.var(axis=(1, 2, 3))
+        mean = x.mean(axis=(1, 2, 3))
+        assert _bits_equal(rvar, var)
+        inv_std = 1.0 / np.sqrt(var + 1e-5)
+        assert _bits_equal(ctx["inv_std"], inv_std)
+        assert _bits_equal(ctx["xhat"], (x - mean[:, None, None, None]) * inv_std[:, None, None, None])
+
+
+def _reference_col2im(dcols, shape, k):
+    """Scatter-add (C*k*k, B*H*W) patch gradients, columns in (B, H, W) order."""
+    c, b, h, w = shape
+    pad = k // 2
+    dcols = dcols.reshape(c, k, k, b, h, w)
+    dxpad = np.zeros((c, b, h + 2 * pad, w + 2 * pad), dcols.dtype)
+    for ki in range(k):
+        for kj in range(k):
+            dxpad[:, :, ki : ki + h, kj : kj + w] += dcols[:, ki, kj]
+    return dxpad[:, :, pad : pad + h, pad : pad + w]
+
+
+class TestPaddedRows:
+    """Patch-matrix products on padded rows against contiguous copies.
+
+    The input gradient also checks `_col2im`'s (H, W, B) column order
+    against the scatter-add over (B, H, W) columns.
+    """
+
+    @pytest.mark.parametrize("shape", [(3, 8, 32, 32), (8, 4, 16, 16), (2, 1, 4, 4)])
+    def test_conv_forward_and_backward(self, shape):
+        rng = np.random.default_rng(6)
+        c_in, b, h, w_ = shape
+        c_out, k = 6, 5
+        x = rng.standard_normal(shape).astype(np.float32)
+        w = rng.standard_normal((c_out, c_in, k, k)).astype(np.float32)
+        out, cols = _conv_forward(x, w, role="probe")
+        assert cols.strides[0] > cols.shape[1] * cols.itemsize  # rows are padded
+        # the patches themselves, from a zero-padded copy
+        xpad = np.pad(x, ((0, 0), (0, 0), (2, 2), (2, 2)))
+        want_cols = np.stack(
+            [xpad[:, :, i : i + h, j : j + w_] for i in range(k) for j in range(k)], axis=1
+        ).reshape(c_in * k * k, b * h * w_)
+        assert _bits_equal(cols, want_cols)
+        w2d = w.reshape(c_out, -1)
+        assert _bits_equal(out, (w2d @ want_cols).reshape(c_out, b, h, w_))
+
+        dout = rng.standard_normal(out.shape).astype(np.float32)
+        dout_mat = dout.reshape(c_out, -1)
+        dx, dw = _conv_backward(dout, cols, w, shape, need_dx=True, role="probe")
+        assert _bits_equal(dw, (want_cols @ dout_mat.T).T.reshape(w.shape))
+        assert _bits_equal(dx, _reference_col2im(w2d.T @ dout_mat, shape, k))
 
 
 class TestGradientCheck:
