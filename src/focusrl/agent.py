@@ -25,6 +25,7 @@ from focusrl.env import Action, AutofocusEnv, EpisodeOutcome, StateSeq, Transiti
 from focusrl.net import (
     Mode,
     NetArch,
+    atomic_open,
     backward_batch,
     copy_params,
     forward_batch,
@@ -186,8 +187,12 @@ class TargetValueCache:
 
     Replay resamples the same states constantly while the target network
     is frozen, and states reference the environment's shared frame cache,
-    so object identity plus the action codes is a sound key.  Must be
-    cleared at every target sync.
+    so object identity plus the action codes is a sound key.  The env
+    builds one net frame per position even where the stack shares a frame
+    between positions of equal blur: shared net frames would change which
+    lookups hit, and a hit reuses a value from another batch's forward,
+    which need not match it to the bit.  Must be cleared at every target
+    sync.
     """
 
     def __init__(self):
@@ -367,7 +372,7 @@ class EvalReport:
         )
 
     def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
 

@@ -78,53 +78,41 @@ def mdp_from_stack(stack: FocalStack, cfg: EnvConfig | None = None) -> DiscreteM
         cfg = EnvConfig(stack=stack)
     elif cfg.stack is not stack:
         raise ValueError("cfg must wrap the same stack")
-    curve = stack.focus_values / stack.focus_max
-    n = len(stack)
-    actions = list(Action)
-    index_steps = {act: int(round(ACTION_DELTAS_RAD[act] / stack.spacing)) for act in actions}
-    n_states = n * cfg.max_steps + 1
-    terminal = n_states - 1
-    next_state = np.full((n_states, len(actions)), terminal, dtype=np.int64)
-    rewards = np.zeros((n_states, len(actions)), dtype=np.float64)
-    done = np.ones((n_states, len(actions)), dtype=bool)
-    outcome_code = np.full((n_states, len(actions)), -1, dtype=np.int64)
-
-    for steps in range(cfg.max_steps):
-        for index in range(n):
-            sid = steps * n + index
-            for act in actions:
-                a = int(act)
-                if act is Action.TERMINATE:
-                    ok = is_success(float(curve[index]), cfg)
-                    out = (
-                        EpisodeOutcome.SUCCESS_TERMINATE
-                        if ok
-                        else EpisodeOutcome.FAIL_TERMINATE_BLUR
-                    )
-                    rewards[sid, a] = reward(float(curve[index]), out, cfg)
-                    outcome_code[sid, a] = TERMINAL_OUTCOMES.index(out)
-                    continue
-                target = index + index_steps[act]
-                if not 0 <= target < n:
-                    # Rejected move: the stage stays put and the episode fails.
-                    out = EpisodeOutcome.FAIL_OUT_OF_RANGE
-                    rewards[sid, a] = reward(float(curve[index]), out, cfg)
-                    outcome_code[sid, a] = TERMINAL_OUTCOMES.index(out)
-                elif steps + 1 >= cfg.max_steps:
-                    out = EpisodeOutcome.FAIL_MAX_STEPS
-                    rewards[sid, a] = reward(float(curve[target]), out, cfg)
-                    outcome_code[sid, a] = TERMINAL_OUTCOMES.index(out)
-                else:
-                    next_state[sid, a] = (steps + 1) * n + target
-                    rewards[sid, a] = reward(
-                        float(curve[target]), EpisodeOutcome.RUNNING, cfg
-                    )
-                    done[sid, a] = False
-    # Absorbing terminal: already all-done, zero reward, self-looping target.
-    next_state[terminal, :] = terminal
+    n, max_steps = len(stack), cfg.max_steps
+    curve = [float(c) for c in stack.focus_values / stack.focus_max]
+    # Row k of `pay` is the reward of outcome code k at each position, with
+    # Running (code -1) last; calling `reward` per position keeps its checks.
+    outcomes = (*TERMINAL_OUTCOMES, EpisodeOutcome.RUNNING)
+    pay = np.array([[reward(c, out, cfg) for c in curve] for out in outcomes])
+    ok = np.array([is_success(c, cfg) for c in curve])
+    success, blurry, out_of_range, out_of_steps = range(len(TERMINAL_OUTCOMES))
+    index = np.arange(n)
+    steps = np.arange(max_steps)[:, None]
+    last = steps + 1 >= max_steps
+    # Per (steps, index, action): outcome code and the position the reward reads.
+    code = np.empty((max_steps, n, len(Action)), dtype=np.int64)
+    at = np.empty_like(code)
+    for act in Action:
+        if act is Action.TERMINATE:
+            code[..., act], at[..., act] = np.where(ok, success, blurry), index
+            continue
+        target = index + int(round(ACTION_DELTAS_RAD[act] / stack.spacing))
+        inside = (target >= 0) & (target < n)
+        # A rejected move fails where the stage stands, even on the last step.
+        code[..., act] = np.where(inside, np.where(last, out_of_steps, -1), out_of_range)
+        at[..., act] = np.where(inside, target, index)
+    running = code == -1
+    terminal = n * max_steps
+    next_state = np.where(running, (steps[..., None] + 1) * n + at, terminal)
+    tables = (next_state, pay[code, at], ~running, code)
+    # The absorbing terminal state: done, zero reward, self-looping.
+    next_state, rewards, done, outcome_code = (
+        np.vstack([table.reshape(terminal, len(Action)), np.full(len(Action), fill)])
+        for table, fill in zip(tables, (terminal, 0.0, True, -1))
+    )
     return DiscreteMdp(
         n_positions=n,
-        max_steps=cfg.max_steps,
+        max_steps=max_steps,
         gamma_hint=0.99,
         next_state=next_state,
         rewards=rewards,

@@ -25,7 +25,6 @@ from focusrl.env import AutofocusEnv, EnvConfig
 from focusrl.focus import focus_curve
 from focusrl.imaging import (
     FocalStack,
-    Scene,
     crop,
     generate_stack,
     load_stack,
@@ -116,12 +115,8 @@ def _generate_from_args(args: dict) -> FocalStack:
     if (render_w, render_h) != (width, height) or "crop_x" in args or "crop_y" in args:
         x = int(args.get("crop_x", 0))
         y = int(args.get("crop_y", 0))
-        scene = Scene(
-            seed=scene.seed,
-            width=width,
-            height=height,
-            content=crop(scene.content, x, y, width, height),
-        )
+        content = crop(scene.content, x, y, width, height)
+        scene = dataclasses.replace(scene, width=width, height=height, content=content)
     return generate_stack(
         scene,
         z_min=float(args["z_min"]),

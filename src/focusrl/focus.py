@@ -92,11 +92,13 @@ _MEASURES = {
 
 
 def focus_curve(stack: FocalStack, measure: FocusMeasure = FocusMeasure.TENENGRAD) -> FocusCurve:
-    """Score every stored frame of a stack with the chosen measure."""
+    """Score every stored frame of a stack; a frame that positions share, once."""
     if len(stack.frames) == 0:
         raise ValueError("cannot compute a focus curve for an empty stack")
     fn = _MEASURES[FocusMeasure(measure)]
-    return FocusCurve.from_values(np.array([fn(frame) for frame in stack.frames]))
+    # Images hash by identity, so each shared frame is one key.
+    scores = {frame: fn(frame) for frame in dict.fromkeys(stack.frames)}
+    return FocusCurve.from_values(np.array([scores[frame] for frame in stack.frames]))
 
 
 def normalize(curve: FocusCurve) -> FocusCurve:

@@ -19,29 +19,32 @@ def gaussian_kernel(sigma: float) -> np.ndarray:
     return k / k.sum()
 
 
-def _correlate1d(arr: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
+def _correlate_rows(arr: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Correlate along axis 0: each tap adds one contiguous block of rows."""
     # Mirror padding without repeating the edge sample (reflect-101).
     radius = len(kernel) // 2
-    pad = [(0, 0), (0, 0)]
-    pad[axis] = (radius, radius)
-    padded = np.pad(arr, pad, mode="reflect")
+    padded = np.pad(arr, [(radius, radius), (0, 0)], mode="reflect")
     out = np.zeros_like(arr)
+    product = np.empty(arr.shape, dtype=np.result_type(arr, kernel))
     for i, tap in enumerate(kernel):
-        if axis == 0:
-            out += tap * padded[i : i + arr.shape[0], :]
-        else:
-            out += tap * padded[:, i : i + arr.shape[1]]
+        np.multiply(padded[i : i + len(arr)], tap, out=product)
+        out += product
     return out
 
 
 def gaussian_blur_array(arr: np.ndarray, sigma: float) -> np.ndarray:
-    """Blur a 2-D array; sigma == 0 is the identity."""
+    """Blur a 2-D array; sigma == 0 is the identity.
+
+    The result is C-contiguous, since later reductions sum in memory order.
+    """
     if sigma < 0:
         raise ValueError(f"sigma must be non-negative, got {sigma}")
     if sigma == 0:
         return arr.copy()
     kernel = gaussian_kernel(sigma)
-    return _correlate1d(_correlate1d(arr, kernel, axis=0), kernel, axis=1)
+    vertical = _correlate_rows(np.ascontiguousarray(arr), kernel)
+    both = _correlate_rows(np.ascontiguousarray(vertical.T), kernel)
+    return np.ascontiguousarray(both.T)
 
 
 def defocus_blur(image: Image, sigma: float) -> Image:

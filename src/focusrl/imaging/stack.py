@@ -30,6 +30,7 @@ class FocalStack:
     touching pixels again.  Saving quantises frames to 8 bits but keeps the
     full-precision curve in the manifest; `load_stack` restores the
     manifest curve rather than re-measuring the quantised frames.
+    Positions of equal blur may share one immutable `Image` in `frames`.
     """
 
     view_id: str
@@ -88,10 +89,13 @@ def generate_stack(
     if blur_gain < 0:
         raise ValueError(f"blur_gain must be non-negative, got {blur_gain}")
     positions = z_min + spacing * np.arange(n, dtype=np.float64)
-    frames = [
-        defocus_blur(scene.content, blur_gain * abs(float(z) - z_star)) for z in positions
-    ]
-    focus_values = np.array([tenengrad(frame) for frame in frames])
+    # Positions mirrored about z_star often get bitwise-equal sigmas; each
+    # distinct sigma is blurred and scored once, and its frame is shared.
+    sigmas = [blur_gain * abs(float(z) - z_star) for z in positions]
+    frame_of = {sigma: defocus_blur(scene.content, sigma) for sigma in dict.fromkeys(sigmas)}
+    value_of = {sigma: tenengrad(frame) for sigma, frame in frame_of.items()}
+    frames = [frame_of[sigma] for sigma in sigmas]
+    focus_values = np.array([value_of[sigma] for sigma in sigmas])
     return FocalStack(
         view_id=view_id if view_id is not None else f"scene{scene.seed}",
         seed=scene.seed,

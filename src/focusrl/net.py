@@ -13,9 +13,11 @@ input channels; the three action codes become an 18-way one-hot vector
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 import json
+import os
 from pathlib import Path
 import struct
 from typing import Sequence
@@ -90,19 +92,7 @@ class NetArch:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "input_size": self.input_size,
-            "conv_channels": list(self.conv_channels),
-            "reduce_channels": self.reduce_channels,
-            "embed_dim": self.embed_dim,
-            "fc_width": self.fc_width,
-            "kernel_size": self.kernel_size,
-            "history": self.history,
-            "action_vocab": self.action_vocab,
-            "n_actions": self.n_actions,
-            "bn_momentum": self.bn_momentum,
-            "bn_eps": self.bn_eps,
-        }
+        return {**asdict(self), "conv_channels": list(self.conv_channels)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "NetArch":
@@ -742,6 +732,19 @@ def count_macs(arch: NetArch) -> int:
 # -- checkpoints ---------------------------------------------------------
 
 
+@contextmanager
+def atomic_open(path: str | Path, mode: str, **kwargs):
+    """Write a temp file beside `path` that replaces it only once the block ends cleanly."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_checkpoint(path: str | Path, params: dict[str, np.ndarray], arch: NetArch, step: int) -> None:
     """Magic, header length, JSON header, then flat little-endian float32."""
     names = [name for name, _, _ in param_spec(arch)]
@@ -754,7 +757,7 @@ def save_checkpoint(path: str | Path, params: dict[str, np.ndarray], arch: NetAr
         ],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)

@@ -275,6 +275,7 @@ def test_criterion_08_generalization_direction():
     )
 
 
+@pytest.mark.slow
 def test_criterion_09_determinism(tmp_path):
     # Full-scale evidence: the committed tiny seed-7 run and its committed
     # independent repetition must agree byte for byte on every artifact

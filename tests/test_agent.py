@@ -437,6 +437,18 @@ class TestEvalReport:
         report.save(path)
         assert EvalReport.from_dict(json.loads(path.read_text())) == report
 
+    def test_failed_save_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        report = EvalReport.from_episodes([(EpisodeOutcome.SUCCESS_TERMINATE, 2, 0.97)])
+        path = tmp_path / "report.json"
+        report.save(path)
+        before = path.read_bytes()
+        # json writes the first key, then fails on the value it cannot encode.
+        monkeypatch.setattr(EvalReport, "to_dict", lambda self: {"a": 1, "z": object()})
+        with pytest.raises(TypeError):
+            report.save(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
     def test_histogram_sum_validated(self):
         with pytest.raises(ValueError):
             EvalReport(
@@ -565,6 +577,7 @@ class TestTrain:
         _, _, step = load_checkpoint(out / "ckpt_200")
         assert step == 200
 
+    @pytest.mark.slow
     def test_start_state_q_values_stay_feasible(self, tiny_stack, tmp_path):
         # No return exceeds the success bonus, so no learned Q-value should:
         # after 1800 learner steps of the tiny preset's network and defaults,

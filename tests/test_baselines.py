@@ -6,6 +6,8 @@ each other through step-count equality.  Expected step counts below were
 derived by hand from the stack geometry before being frozen here.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,15 @@ from focusrl.baselines import (
     min_steps_bfs,
     value_iteration,
 )
-from focusrl.env import Action, AutofocusEnv, EnvConfig, EpisodeOutcome
+from focusrl.env import (
+    ACTION_DELTAS_RAD,
+    Action,
+    AutofocusEnv,
+    EnvConfig,
+    EpisodeOutcome,
+    is_success,
+    reward,
+)
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +134,62 @@ class TestDiscreteMdp:
                 assert bool(tiny_mdp.done[sid, act]) == t.done
                 assert tiny_mdp.outcome_of(sid, act) is t.outcome
                 sid = int(tiny_mdp.next_state[sid, act])
+
+
+def _looped_tables(stack, cfg):
+    """Reference: the tables built one decision point at a time."""
+    curve = stack.focus_values / stack.focus_max
+    n = len(stack)
+    n_states = n * cfg.max_steps + 1
+    terminal = n_states - 1
+    next_state = np.full((n_states, len(Action)), terminal, dtype=np.int64)
+    rewards = np.zeros((n_states, len(Action)), dtype=np.float64)
+    done = np.ones((n_states, len(Action)), dtype=bool)
+    outcome_code = np.full((n_states, len(Action)), -1, dtype=np.int64)
+    for steps in range(cfg.max_steps):
+        for index in range(n):
+            sid = steps * n + index
+            for act in Action:
+                if act is Action.TERMINATE:
+                    ok = is_success(float(curve[index]), cfg)
+                    out = (
+                        EpisodeOutcome.SUCCESS_TERMINATE if ok else EpisodeOutcome.FAIL_TERMINATE_BLUR
+                    )
+                    at = index
+                else:
+                    target = index + int(round(ACTION_DELTAS_RAD[act] / stack.spacing))
+                    at = target
+                    if not 0 <= target < n:
+                        out, at = EpisodeOutcome.FAIL_OUT_OF_RANGE, index
+                    elif steps + 1 >= cfg.max_steps:
+                        out = EpisodeOutcome.FAIL_MAX_STEPS
+                    else:
+                        out = EpisodeOutcome.RUNNING
+                        next_state[sid, act] = (steps + 1) * n + target
+                        done[sid, act] = False
+                rewards[sid, act] = reward(float(curve[at]), out, cfg)
+                if out is not EpisodeOutcome.RUNNING:
+                    outcome_code[sid, act] = TERMINAL_OUTCOMES.index(out)
+    return next_state, rewards, done, outcome_code
+
+
+class TestTablesMatchLoop:
+    @pytest.mark.parametrize("max_steps", [1, 2, 20])
+    @pytest.mark.parametrize("which", ["tiny_stack", "exp1_stack"])
+    def test_bitwise(self, request, which, max_steps):
+        stack = request.getfixturevalue(which)
+        cfg = EnvConfig(stack=stack, max_steps=max_steps)
+        mdp = mdp_from_stack(stack, cfg)
+        got = (mdp.next_state, mdp.rewards, mdp.done, mdp.outcome_code)
+        for have, want in zip(got, _looped_tables(stack, cfg)):
+            assert have.dtype == want.dtype and have.shape == want.shape
+            assert have.tobytes() == want.tobytes()
+
+    def test_keeps_reward_range_check(self, tiny_stack):
+        # A curve normalised by less than its maximum leaves [0, 1].
+        bad = dataclasses.replace(tiny_stack, focus_max=tiny_stack.focus_max / 2)
+        with pytest.raises(ValueError, match="outside"):
+            mdp_from_stack(bad)
 
 
 class TestValueIteration:

@@ -119,6 +119,13 @@ class TestReset:
         np.testing.assert_array_equal(state.frames[0].pixels, state.frames[1].pixels)
         np.testing.assert_array_equal(state.frames[1].pixels, state.frames[2].pixels)
 
+    def test_one_net_frame_per_position(self, tiny_env, tiny_stack):
+        # The stack shares frames between positions of equal blur, but the
+        # target-value cache keys on frame ids, so env frames stay apart.
+        assert len({id(frame) for frame in tiny_stack.frames}) < len(tiny_stack)
+        frames = [tiny_env.reset_at(i).frames[2] for i in range(tiny_env.n_positions)]
+        assert len({id(frame) for frame in frames}) == tiny_env.n_positions
+
     def test_step_counter_reads_zero(self, tiny_env, rng):
         tiny_env.reset(rng)
         assert tiny_env.steps_taken == 0

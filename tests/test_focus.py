@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from focusrl import focus
 from focusrl.focus import (
     FocusCurve,
     FocusMeasure,
@@ -71,6 +72,24 @@ class TestFocusCurve:
         assert curve.argmax_index == 0
         assert curve.max_value == 5.0
         assert len(focus_curve(stack).values) == 2
+
+    @pytest.mark.parametrize("measure", [tenengrad, laplacian_variance])
+    def test_equals_scoring_every_frame(self, tiny_stack, measure):
+        by_frame = np.array([measure(frame) for frame in tiny_stack.frames])
+        curve = focus_curve(tiny_stack, FocusMeasure(measure.__name__))
+        assert curve.values.tobytes() == by_frame.tobytes()
+
+    def test_shared_frames_scored_once(self, tiny_stack, monkeypatch):
+        scored = []
+
+        def counting(frame):
+            scored.append(frame)
+            return tenengrad(frame)
+
+        monkeypatch.setitem(focus._MEASURES, FocusMeasure.TENENGRAD, counting)
+        focus_curve(tiny_stack)
+        distinct = {id(frame) for frame in tiny_stack.frames}
+        assert len(scored) == len(distinct) < len(tiny_stack)
 
     def test_argmax_at_sharpest_index(self, tiny_stack):
         curve = focus_curve(tiny_stack)

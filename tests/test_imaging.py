@@ -20,6 +20,37 @@ from focusrl.imaging import (
     save_stack,
     to_grayscale,
 )
+from focusrl.imaging.filters import gaussian_blur_array, gaussian_kernel
+
+
+def _two_axis_blur(arr, sigma):
+    """Reference: the two-axis tap loop, each pass along its own axis."""
+    if sigma == 0:
+        return arr.copy()
+    kernel = gaussian_kernel(sigma)
+
+    def correlate(a, axis):
+        radius = len(kernel) // 2
+        pad = [(0, 0), (0, 0)]
+        pad[axis] = (radius, radius)
+        padded = np.pad(a, pad, mode="reflect")
+        out = np.zeros_like(a)
+        for i, tap in enumerate(kernel):
+            if axis == 0:
+                out += tap * padded[i : i + a.shape[0], :]
+            else:
+                out += tap * padded[:, i : i + a.shape[1]]
+        return out
+
+    return correlate(correlate(arr, 0), 1)
+
+
+def _per_position_stack(scene, z_min, z_max, spacing, z_star, blur_gain):
+    """Reference: one blur and one score per position, the two-axis blur."""
+    positions = z_min + spacing * np.arange(position_count(z_min, z_max, spacing))
+    sigmas = [blur_gain * abs(float(z) - z_star) for z in positions]
+    frames = [Image(np.clip(_two_axis_blur(scene.content.pixels, s), 0.0, 1.0)) for s in sigmas]
+    return frames, np.array([tenengrad(frame) for frame in frames])
 
 
 class TestImage:
@@ -213,6 +244,77 @@ class TestDefocusBlur:
     def test_rejects_negative_sigma(self, small_scene):
         with pytest.raises(ValueError):
             defocus_blur(small_scene.content, -0.1)
+
+
+class TestBlurMatchesTwoAxisLoop:
+    """The contiguous blur keeps every product and its summation order."""
+
+    @pytest.mark.parametrize(
+        "shape, sigma",
+        [
+            ((37, 90), 1.3),  # wide
+            ((90, 37), 2.5),  # tall
+            ((40, 40), 0.1),  # a radius of one tap
+            ((40, 40), 0.34),
+            ((23, 61), 7.0),  # radius 21, close to the 23 rows
+            ((12, 50), 6.0),  # radius 18 reflects past the 12 rows
+        ],
+    )
+    def test_bytes_equal(self, shape, sigma):
+        arr = np.random.default_rng(sum(shape)).random(shape)
+        got = gaussian_blur_array(arr, sigma)
+        assert got.tobytes() == _two_axis_blur(arr, sigma).tobytes()
+        assert got.flags.c_contiguous
+
+    def test_negative_inputs(self):
+        # Like the texture noise that render_scene blurs before scaling.
+        noise = np.random.default_rng(5).standard_normal((48, 64))
+        got = gaussian_blur_array(noise, 2.5)
+        assert got.tobytes() == _two_axis_blur(noise, 2.5).tobytes()
+
+    def test_float32_input(self):
+        arr = np.random.default_rng(6).random((30, 44)).astype(np.float32)
+        got = gaussian_blur_array(arr, 1.7)
+        assert got.dtype == np.float32
+        assert got.tobytes() == _two_axis_blur(arr, 1.7).tobytes()
+
+    def test_non_contiguous_input(self):
+        arr = np.random.default_rng(7).random((50, 36))
+        for view in (arr.T, arr[::2, 1:]):
+            got = gaussian_blur_array(view, 1.5)
+            assert got.flags.c_contiguous
+            assert got.tobytes() == _two_axis_blur(view, 1.5).tobytes()
+
+    def test_rendered_scene_unchanged(self, monkeypatch):
+        # render_scene blurs its texture noise and then its content.
+        got = render_scene(seed=11, width=48, height=40).content.pixels
+        monkeypatch.setattr("focusrl.imaging.scene.gaussian_blur_array", _two_axis_blur)
+        assert got.tobytes() == render_scene(seed=11, width=48, height=40).content.pixels.tobytes()
+
+
+class TestSharedFrames:
+    """Positions of equal blur share one frame; every byte stays as it was."""
+
+    # Positions mirrored about z_star = 32.4 on the 0.3 grid share a sigma.
+    ARGS = dict(z_min=30.0, z_max=36.0, spacing=0.3, z_star=32.4, blur_gain=0.5)
+
+    @pytest.fixture(scope="class")
+    def stack(self, small_scene):
+        return generate_stack(small_scene, **self.ARGS)
+
+    def test_frames_and_values_match_per_position_loop(self, stack, small_scene):
+        frames, values = _per_position_stack(small_scene, **self.ARGS)
+        assert [f.pixels.tobytes() for f in stack.frames] == [f.pixels.tobytes() for f in frames]
+        assert stack.focus_values.tobytes() == values.tobytes()
+        assert stack.focus_max == values.max()
+
+    def test_frames_are_c_contiguous(self, stack):
+        assert all(frame.pixels.flags.c_contiguous for frame in stack.frames)
+
+    def test_one_frame_per_distinct_sigma(self, stack):
+        sigmas = {stack.blur_gain * abs(float(z) - stack.z_star) for z in stack.positions}
+        ids = {id(frame) for frame in stack.frames}
+        assert len(ids) == len(sigmas) < len(stack)
 
 
 class TestGenerateStack:

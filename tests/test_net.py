@@ -1,6 +1,7 @@
 """Q-network forward/backward correctness, accounting, and checkpoints."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -540,6 +541,26 @@ class TestCheckpoint:
         path.write_bytes(data[:-8])
         with pytest.raises(ValueError, match="truncated"):
             load_checkpoint(path)
+
+    def test_failed_write_keeps_the_previous_file(self, tmp_path, rng):
+        params = init_params(SMALL, rng)
+        path = tmp_path / "ckpt"
+        save_checkpoint(path, params, SMALL, step=1)
+        before = path.read_bytes()
+        # The last array cannot convert to float32, so the write fails after
+        # the header and the other arrays are out.
+        last = list(params)[-1]
+        broken = dict(params, **{last: np.full(params[last].shape, "x")})
+        with pytest.raises(ValueError):
+            save_checkpoint(path, broken, SMALL, step=2)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
+
+    def test_rewrite_reproduces_committed_bytes(self, tmp_path):
+        committed = Path(__file__).parents[1] / "artifacts" / "tiny_s7" / "ckpt_20000"
+        params, arch, step = load_checkpoint(committed)
+        save_checkpoint(tmp_path / "ckpt", params, arch, step)
+        assert (tmp_path / "ckpt").read_bytes() == committed.read_bytes()
 
     def test_copy_params_is_deep(self, rng):
         params = init_params(SMALL, rng)
