@@ -37,6 +37,7 @@ from focusrl.net import (
     PARAM_BUDGET,
     PARAM_TOLERANCE,
     NetArch,
+    atomic_open,
     count_macs,
     count_params,
     load_checkpoint,
@@ -211,7 +212,7 @@ def _require_empty_dir(path: Path) -> None:
 
 def _write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -245,6 +246,12 @@ def _machine_info() -> dict:
         "python": platform.python_version(),
         "cpu_model": _cpu_model(),
     }
+
+
+def _value_iteration_report(env: AutofocusEnv, gamma: float) -> agent.EvalReport:
+    """The greedy policy of the exact Q-table for the env's stack, run through the env."""
+    mdp = baselines.mdp_from_stack(env.cfg.stack, env.cfg)
+    return baselines.greedy_policy_report(baselines.value_iteration(mdp, gamma), mdp, env)
 
 
 # -- subcommands ---------------------------------------------------------
@@ -298,6 +305,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     env = AutofocusEnv(config.env_config(stack))
     arch = config.net_arch()
     hyper = config.hyperparams()
+    # The optimum this run is judged against, solved on an env of its own so
+    # the training env starts untouched.
+    oracle = _value_iteration_report(AutofocusEnv(config.env_config(stack)), hyper.gamma)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(
@@ -311,6 +321,11 @@ def cmd_train(args: argparse.Namespace) -> int:
             "params": count_params(arch),
             "macs": count_macs(arch),
             "machine": _machine_info(),
+            "oracle": {
+                "gamma": hyper.gamma,
+                "accuracy": oracle.accuracy,
+                "avg_steps": oracle.avg_steps,
+            },
         },
     )
     started = time.time()
@@ -366,16 +381,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_baseline(args: argparse.Namespace) -> int:
     config, _ = load_config(args.config)
     stack = _resolve_stack(args, config)
-    cfg = config.env_config(stack)
-    env = AutofocusEnv(cfg)
+    env = AutofocusEnv(config.env_config(stack))
     if args.kind == "hill-climb":
         payload = baselines.hill_climb(env).to_dict()
     elif args.kind == "value-iteration":
-        mdp = baselines.mdp_from_stack(stack, cfg)
         gamma = (config.hyperparams().gamma if "total_timesteps" in config.train
                  else agent.Hyperparams.gamma)
-        q = baselines.value_iteration(mdp, gamma)
-        payload = baselines.greedy_policy_report(q, mdp, env).to_dict()
+        payload = _value_iteration_report(env, gamma).to_dict()
     else:  # scan
         result = baselines.exhaustive_scan(stack)
         payload = {

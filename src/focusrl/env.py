@@ -155,14 +155,14 @@ class AutofocusEnv:
                 )
             self._index_steps[act] = int(round(steps))
         # Net-input frames are shared, so states hold references, not copies.
-        self._net_frames = [
-            Image(
-                resize_bilinear(frame, cfg.net_input_size, cfg.net_input_size).pixels.astype(
-                    np.float32
-                )
-            )
-            for frame in stack.frames
-        ]
+        # Each distinct stack frame is resized once, but every position gets
+        # its own Image: `agent.TargetValueCache` keys on frame identity.
+        size = cfg.net_input_size
+        resized = {
+            frame: resize_bilinear(frame, size, size).pixels.astype(np.float32)
+            for frame in dict.fromkeys(stack.frames)
+        }
+        self._net_frames = [Image(resized[frame]) for frame in stack.frames]
         self._index = 0
         self._steps = 0
         self._outcome = EpisodeOutcome.RUNNING

@@ -473,20 +473,12 @@ class TestEvaluate:
         assert report.outcome_counts.get("SuccessTerminate", 0) == 0
 
     def test_oracle_policy_is_perfect(self, tiny_stack, env16):
-        from focusrl.baselines import greedy_action, mdp_from_stack, value_iteration
+        from focusrl.baselines import greedy_policy_report, mdp_from_stack, value_iteration
 
         mdp = mdp_from_stack(tiny_stack)
         q = value_iteration(mdp, gamma=0.9)
-        results = []
-        for start in range(env16.n_positions):
-            env16.reset_at(start)
-            while not env16.done:
-                env16.step(greedy_action(q, mdp, env16.position_index, env16.steps_taken))
-            results.append(
-                (env16.outcome, env16.steps_taken,
-                 float(env16.normalized_curve[env16.position_index]))
-            )
-        report = EvalReport.from_episodes(results)
+        report = greedy_policy_report(q, mdp, env16)
+        assert report.episodes == env16.n_positions
         assert report.accuracy == 1.0
 
     def test_never_mutates_params(self, env16, params16):

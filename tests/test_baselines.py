@@ -11,10 +11,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+from focusrl import baselines, focus
+from focusrl.agent import EvalReport
 from focusrl.baselines import (
     TERMINAL_OUTCOMES,
+    _Climber,
     exhaustive_scan,
-    greedy_action,
     greedy_policy_report,
     hill_climb,
     hill_climb_episode,
@@ -192,13 +194,88 @@ class TestTablesMatchLoop:
             mdp_from_stack(bad)
 
 
+def _iterated_q(mdp, gamma, tol=1e-9):
+    """Reference: iterate Q <- r + gamma * max Q' to sup-norm convergence below tol."""
+    q = np.zeros((mdp.n_states, mdp.next_state.shape[1]), dtype=np.float64)
+    cont = ~mdp.done
+    while True:
+        v = q.max(axis=1)
+        q_new = mdp.rewards + gamma * np.where(cont, v[mdp.next_state], 0.0)
+        q_new[mdp.terminal_state, :] = 0.0
+        delta = float(np.abs(q_new - q).max())
+        q = q_new
+        if delta < tol:
+            return q
+
+
+def _greedy_action(q_table, mdp, index, steps):
+    """Reference: the greedy action at one decision point; ties go to the lowest code."""
+    return Action(int(np.argmax(q_table[mdp.state_id(index, steps)])))
+
+
+def _stepwise_greedy_report(q_table, mdp, env):
+    """Reference: the greedy rollout with one argmax per step."""
+    episodes = []
+    for start in range(env.n_positions):
+        env.reset_at(start)
+        while not env.done:
+            env.step(_greedy_action(q_table, mdp, env.position_index, env.steps_taken))
+        episodes.append(
+            (env.outcome, env.steps_taken, float(env.normalized_curve[env.position_index]))
+        )
+    return EvalReport.from_episodes(episodes)
+
+
+class _ScanningClimber(_Climber):
+    """Reference: the climber that finds each move's action by scanning the deltas."""
+
+    def _move(self, delta):
+        for act, rad in ACTION_DELTAS_RAD.items():
+            if act is not Action.TERMINATE and int(round(rad / self.env.cfg.stack.spacing)) == delta:
+                self.env.step(act)
+                return float(self.env.normalized_curve[self.env.position_index])
+        raise ValueError(f"no action moves {delta} indices")
+
+
 class TestValueIteration:
     def test_terminal_row_is_zero(self, tiny_mdp, tiny_q):
         np.testing.assert_array_equal(tiny_q[tiny_mdp.terminal_state], 0.0)
 
-    def test_rejects_bad_tol(self, tiny_mdp):
-        with pytest.raises(ValueError, match="tol"):
-            value_iteration(tiny_mdp, 0.99, tol=0.0)
+    @pytest.mark.parametrize("gamma", [0.9, 0.99])
+    @pytest.mark.parametrize("max_steps", [1, 2, 20])
+    @pytest.mark.parametrize("which", ["tiny_stack", "exp1_stack"])
+    def test_equals_iteration_bitwise(self, request, which, max_steps, gamma):
+        stack = request.getfixturevalue(which)
+        mdp = mdp_from_stack(stack, EnvConfig(stack=stack, max_steps=max_steps))
+        got, want = value_iteration(mdp, gamma), _iterated_q(mdp, gamma)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            # Step 0 -> step 2, past the layer in between.
+            lambda mdp, ns, done: ns.__setitem__((3, 1), 2 * mdp.n_positions + 4),
+            # Step 1 -> step 1: a running move that does not advance.
+            lambda mdp, ns, done: ns.__setitem__((mdp.n_positions + 3, 1), mdp.n_positions + 4),
+            # A running move out of the last step, into the terminal state.
+            lambda mdp, ns, done: done.__setitem__((mdp.terminal_state - 1, 1), False),
+        ],
+        ids=["skips_a_layer", "stays_in_its_layer", "runs_past_the_last_step"],
+    )
+    def test_rejects_a_transition_that_breaks_the_layers(self, tiny_mdp, edit):
+        next_state, done = tiny_mdp.next_state.copy(), tiny_mdp.done.copy()
+        edit(tiny_mdp, next_state, done)
+        bad = dataclasses.replace(tiny_mdp, next_state=next_state, done=done)
+        with pytest.raises(ValueError, match="running transition"):
+            value_iteration(bad, 0.99)
+
+    @pytest.mark.parametrize("which", ["tiny_env", "exp1_env"])
+    def test_greedy_report_equals_stepwise_rollout(self, request, which):
+        env = request.getfixturevalue(which)
+        mdp = mdp_from_stack(env.cfg.stack, env.cfg)
+        q = value_iteration(mdp, 0.9)
+        assert greedy_policy_report(q, mdp, env) == _stepwise_greedy_report(q, mdp, env)
 
     def test_greedy_solves_every_start(self, tiny_mdp, tiny_q, tiny_env):
         report = greedy_policy_report(tiny_q, tiny_mdp, tiny_env)
@@ -212,7 +289,7 @@ class TestValueIteration:
         for start in range(tiny_env.n_positions):
             tiny_env.reset_at(start)
             while not tiny_env.done:
-                act = greedy_action(
+                act = _greedy_action(
                     tiny_q, tiny_mdp, tiny_env.position_index, tiny_env.steps_taken
                 )
                 tiny_env.step(act)
@@ -238,10 +315,18 @@ class TestValueIteration:
         # bonus, so the greedy choice inside the region must be Terminate.
         last = tiny_mdp.max_steps - 1
         for index in tiny_env.success_region.tolist():
-            assert greedy_action(tiny_q, tiny_mdp, index, last) is Action.TERMINATE
+            assert _greedy_action(tiny_q, tiny_mdp, index, last) is Action.TERMINATE
 
 
 class TestHillClimb:
+    @pytest.mark.parametrize("which", ["tiny_env", "exp1_env"])
+    def test_equals_scanning_climber(self, request, which):
+        env = request.getfixturevalue(which)
+        want = EvalReport.from_episodes(
+            [_ScanningClimber(env).run(i) for i in range(env.n_positions)]
+        )
+        assert hill_climb(env) == want
+
     def test_peak_start_probes_then_stops(self, tiny_env):
         # From the peak both fine probes read downhill, so the climber
         # spends three moves discovering that and stops one index off.
@@ -308,3 +393,18 @@ class TestExhaustiveScan:
         result = exhaustive_scan(exp1_stack)
         assert result.argmax_index == 70
         assert result.evaluations == 131
+
+    def test_reads_no_pixels(self, exp1_stack, monkeypatch):
+        want = focus.focus_curve(exp1_stack).argmax_index
+
+        def boom(*args, **kwargs):
+            raise AssertionError("the scan measured a frame")
+
+        for measure in focus.FocusMeasure:
+            monkeypatch.setitem(focus._MEASURES, measure, boom)
+        monkeypatch.setattr(focus, "tenengrad", boom)
+        monkeypatch.setattr(focus, "laplacian_variance", boom)
+        monkeypatch.setattr(baselines, "focus_curve", boom)
+        result = exhaustive_scan(exp1_stack)
+        assert result.argmax_index == want
+        assert result.evaluations == len(exp1_stack)

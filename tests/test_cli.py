@@ -16,7 +16,7 @@ import pytest
 
 from focusrl import baselines
 from focusrl.agent import Hyperparams
-from focusrl.cli import list_presets, load_config, main
+from focusrl.cli import _write_json, list_presets, load_config, main
 from focusrl.imaging import load_stack
 
 MINI = {
@@ -201,6 +201,17 @@ class TestTrain:
         assert machine["openblas_num_threads"] == os.environ.get("OPENBLAS_NUM_THREADS")
         assert machine["cpu_model"]
 
+    def test_run_meta_records_the_oracle_optimum(self, mini_config, mini_run, capsys):
+        meta = json.loads((mini_run / "run_meta.json").read_text(encoding="utf-8"))
+        capsys.readouterr()
+        assert main(["baseline", "value-iteration", "--config", mini_config]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert meta["oracle"] == {
+            "gamma": Hyperparams.gamma,
+            "accuracy": report["accuracy"],
+            "avg_steps": report["avg_steps"],
+        }
+
     def test_fixed_seed_runs_are_bit_identical(self, mini_config, mini_run, tmp_path):
         out = tmp_path / "r2"
         assert main(["train", "--config", mini_config, "--out", str(out)]) == 0
@@ -356,3 +367,15 @@ class TestBaseline:
         code = main(["baseline", "value-iteration", "--config", str(path), "--stack", mini_stack_dir])
         assert code == 0
         assert used == [Hyperparams.gamma]
+
+
+class TestWriteJson:
+    def test_failed_write_keeps_the_previous_file(self, tmp_path):
+        path = tmp_path / "out.json"
+        _write_json(path, {"a": 1})
+        before = path.read_bytes()
+        # json.dump writes the first key before it meets the object it cannot encode.
+        with pytest.raises(TypeError):
+            _write_json(path, {"a": 2, "b": object()})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from focusrl import env as env_module
 from focusrl.env import (
     ACTION_HISTORY,
     NULL_ACTION_CODE,
@@ -15,6 +16,7 @@ from focusrl.env import (
     is_success,
     reward,
 )
+from focusrl.imaging import resize_bilinear
 
 
 def _cfg(stack, **kw):
@@ -125,6 +127,27 @@ class TestReset:
         assert len({id(frame) for frame in tiny_stack.frames}) < len(tiny_stack)
         frames = [tiny_env.reset_at(i).frames[2] for i in range(tiny_env.n_positions)]
         assert len({id(frame) for frame in frames}) == tiny_env.n_positions
+
+    @pytest.mark.parametrize("which,size", [("tiny_stack", 32), ("exp1_stack", 64)])
+    def test_net_frames_equal_a_per_position_resize(self, request, which, size):
+        stack = request.getfixturevalue(which)
+        env = AutofocusEnv(EnvConfig(stack=stack, net_input_size=size))
+        for i, frame in enumerate(stack.frames):
+            want = resize_bilinear(frame, size, size).pixels.astype(np.float32)
+            got = env.reset_at(i).frames[2].pixels
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_one_resize_per_distinct_frame(self, tiny_stack, monkeypatch):
+        calls = []
+
+        def counted(image, width, height):
+            calls.append(id(image))
+            return resize_bilinear(image, width, height)
+
+        monkeypatch.setattr(env_module, "resize_bilinear", counted)
+        AutofocusEnv(_cfg(tiny_stack))
+        assert sorted(calls) == sorted({id(frame) for frame in tiny_stack.frames})
 
     def test_step_counter_reads_zero(self, tiny_env, rng):
         tiny_env.reset(rng)
