@@ -17,11 +17,11 @@ import csv
 from dataclasses import dataclass
 import json
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from focusrl.env import Action, AutofocusEnv, EpisodeOutcome, StateSeq, Transition
+from focusrl.env import ACTION_HISTORY, Action, AutofocusEnv, EpisodeOutcome, StateSeq, Transition
 from focusrl.net import (
     Mode,
     NetArch,
@@ -88,14 +88,27 @@ def epsilon_schedule(timestep: int, hyper: Hyperparams) -> float:
     return hyper.epsilon_start + (hyper.epsilon_end - hyper.epsilon_start) * frac
 
 
+class Batch(NamedTuple):
+    """Transitions as columns; a state row is its positions, then its action codes."""
+
+    states: np.ndarray  # (n, 2, history) int
+    actions: np.ndarray  # (n,) int
+    rewards: np.ndarray  # (n,) float64
+    next_states: np.ndarray  # (n, 2, history) int
+    done: np.ndarray  # (n,) bool
+
+
 class ReplayBuffer:
-    """Fixed-capacity FIFO ring of transitions."""
+    """Fixed-capacity FIFO ring of transitions, held as preallocated columns."""
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self._items: list[Transition | None] = [None] * capacity
+        states = (capacity, 2, ACTION_HISTORY)
+        self._columns = Batch(np.zeros(states, np.intp), np.zeros(capacity, np.intp),
+                              np.zeros(capacity), np.zeros(states, np.intp),
+                              np.zeros(capacity, bool))
         self._next = 0
         self._size = 0
         self.inserted = 0
@@ -104,21 +117,26 @@ class ReplayBuffer:
         return self._size
 
     def push(self, transition: Transition) -> None:
-        self._items[self._next] = transition
-        self._next = (self._next + 1) % self.capacity
+        i = self._next
+        cols = self._columns
+        cols.states[i] = transition.state
+        cols.actions[i] = transition.action
+        cols.rewards[i] = transition.reward
+        cols.next_states[i] = transition.next_state
+        cols.done[i] = transition.done
+        self._next = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
         self.inserted += 1
 
-    def sample(self, rng: np.random.Generator, batch_size: int) -> list[Transition]:
+    def rows(self, idx: np.ndarray) -> Batch:
+        """The transitions in ring slots `idx`, in that order."""
+        return Batch(*(column[idx] for column in self._columns))
+
+    def sample(self, rng: np.random.Generator, batch_size: int) -> Batch:
         """Uniform sample with replacement."""
         if self._size == 0:
             raise ValueError("cannot sample from an empty buffer")
-        idx = rng.integers(0, self._size, size=batch_size)
-        return [self._items[i] for i in idx]  # type: ignore[misc]
-
-    def __iter__(self):
-        for i in range(self._size):
-            yield self._items[i]
+        return self.rows(rng.integers(0, self._size, size=batch_size))
 
 
 class Adam:
@@ -168,6 +186,7 @@ class Adam:
 def select_action(
     params: dict[str, np.ndarray],
     arch: NetArch,
+    frames: np.ndarray,
     state: StateSeq,
     epsilon: float,
     rng: np.random.Generator,
@@ -177,37 +196,25 @@ def select_action(
         raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
     if rng.uniform() < epsilon:
         return Action(int(rng.integers(len(Action))))
-    x, onehot = states_to_batch([state], arch)
-    q, _ = forward_batch(params, arch, x, onehot, Mode.INFER)
-    return Action(int(np.argmax(q[0])))
+    return greedy_policy(params, arch, frames)(state)
 
 
 class TargetValueCache:
     """Memo of max_a Q(s', a'; target) for one target-network period.
 
     Replay resamples the same states constantly while the target network
-    is frozen, and states reference the environment's shared frame cache,
-    so object identity plus the action codes is a sound key.  The env
-    builds one net frame per position even where the stack shares a frame
-    between positions of equal blur: shared net frames would change which
-    lookups hit, and a hit reuses a value from another batch's forward,
-    which need not match it to the bit.  Must be cleared at every target
-    sync.
+    is frozen.  A state is keyed by its six integers, positions then action
+    codes, as a tuple.  Must be cleared at every target sync.
     """
 
     def __init__(self):
-        self._values: dict[tuple, float] = {}
+        self._values: dict[tuple[int, ...], float] = {}
 
-    @staticmethod
-    def key(state: StateSeq) -> tuple:
-        frames = state.frames
-        return (id(frames[0]), id(frames[1]), id(frames[2]), state.action_codes)
+    def get(self, state: tuple[int, ...]) -> float | None:
+        return self._values.get(state)
 
-    def get(self, state: StateSeq) -> float | None:
-        return self._values.get(self.key(state))
-
-    def put(self, state: StateSeq, value: float) -> None:
-        self._values[self.key(state)] = value
+    def put(self, state: tuple[int, ...], value: float) -> None:
+        self._values[state] = value
 
     def clear(self) -> None:
         self._values.clear()
@@ -219,29 +226,28 @@ class TargetValueCache:
 def max_target_values(
     target_params: dict[str, np.ndarray],
     arch: NetArch,
-    states: Sequence[StateSeq],
+    frames: np.ndarray,
+    states: Sequence[StateSeq] | np.ndarray,
     cache: TargetValueCache | None = None,
 ) -> np.ndarray:
-    """max_a Q(s, a; target) for each state, through the cache when given."""
-    values = np.empty(len(states), dtype=np.float64)
-    misses: list[int] = []
-    if cache is None:
-        misses = list(range(len(states)))
-    else:
-        for i, state in enumerate(states):
-            hit = cache.get(state)
-            if hit is None:
-                misses.append(i)
-            else:
-                values[i] = hit
+    """max_a Q(s, a; target) for each state, through the cache when given.
+
+    All lookups come first, then one forward over every miss (repeats
+    included), then the misses are stored in order.
+    """
+    rows = np.asarray(states, dtype=np.intp).reshape(len(states), 2 * arch.history)
+    keys = list(map(tuple, rows.tolist()))
+    hits = [None if cache is None else cache.get(key) for key in keys]
+    misses = [i for i, hit in enumerate(hits) if hit is None]
+    values = np.array([np.nan if hit is None else hit for hit in hits], dtype=np.float64)
     if misses:
-        x, onehot = states_to_batch([states[i] for i in misses], arch)
+        x, onehot = states_to_batch(rows[misses], frames, arch)
         q, _ = forward_batch(target_params, arch, x, onehot, Mode.INFER)
-        best = q.max(axis=1)
-        for j, i in enumerate(misses):
-            values[i] = float(best[j])
-            if cache is not None:
-                cache.put(states[i], float(best[j]))
+        best = q.max(axis=1).tolist()
+        values[misses] = best
+        if cache is not None:
+            for i, value in zip(misses, best):
+                cache.put(keys[i], value)
     return values
 
 
@@ -249,6 +255,7 @@ def bellman_target(
     transition: Transition,
     target_params: dict[str, np.ndarray],
     arch: NetArch,
+    frames: np.ndarray,
     gamma: float,
     cache: TargetValueCache | None = None,
     value_cap: float = np.inf,
@@ -256,7 +263,7 @@ def bellman_target(
     """r if terminal, else r + gamma * min(max_a Q(s', a; target), value_cap)."""
     if transition.done:
         return float(transition.reward)
-    value = max_target_values(target_params, arch, [transition.next_state], cache)[0]
+    value = max_target_values(target_params, arch, frames, [transition.next_state], cache)[0]
     return float(transition.reward) + gamma * min(float(value), value_cap)
 
 
@@ -264,7 +271,8 @@ def train_step(
     params: dict[str, np.ndarray],
     target_params: dict[str, np.ndarray],
     arch: NetArch,
-    batch: Sequence[Transition],
+    frames: np.ndarray,
+    batch: Batch,
     optimizer: Adam,
     gamma: float,
     cache: TargetValueCache | None = None,
@@ -280,36 +288,28 @@ def train_step(
     constants: the gradient flows only through Q(s, a) at the taken
     actions, computed with batch renormalization.
     """
-    if not batch:
+    n = len(batch.actions)
+    if n == 0:
         raise ValueError("batch must not be empty")
-    n = len(batch)
-    targets = np.empty(n, dtype=np.float64)
-    boot: list[int] = []
-    for i, tr in enumerate(batch):
-        targets[i] = tr.reward
-        if not tr.done:
-            boot.append(i)
-    if boot:
-        values = max_target_values(
-            target_params, arch, [batch[i].next_state for i in boot], cache
-        )
+    targets = batch.rewards.astype(np.float64)
+    boot = np.flatnonzero(~batch.done)
+    if boot.size:
+        values = max_target_values(target_params, arch, frames, batch.next_states[boot], cache)
         np.minimum(values, value_cap, out=values)
-        for j, i in enumerate(boot):
-            targets[i] += gamma * values[j]
+        targets[boot] += gamma * values
 
-    x, onehot = states_to_batch([tr.state for tr in batch], arch)
+    x, onehot = states_to_batch(batch.states, frames, arch)
     q, fwd_cache = forward_batch(
         params, arch, x, onehot, Mode.TRAIN, update_running=True, want_cache=True,
         batch_stats=False,
     )
-    actions = np.fromiter((int(tr.action) for tr in batch), dtype=np.intp, count=n)
     rows = np.arange(n)
-    diff = q[rows, actions].astype(np.float64) - targets
+    diff = q[rows, batch.actions].astype(np.float64) - targets
     loss = float(np.mean(diff * diff))
     if not np.isfinite(loss):
         raise RuntimeError(f"non-finite training loss {loss}; diverged")
     dq = np.zeros_like(q)
-    dq[rows, actions] = (2.0 / n) * diff
+    dq[rows, batch.actions] = (2.0 / n) * diff
     grads = backward_batch(params, arch, fwd_cache, dq)
     optimizer.step(params, grads)
     return loss
@@ -380,9 +380,9 @@ class EvalReport:
 GreedyPolicy = Callable[[StateSeq], Action]
 
 
-def greedy_policy(params: dict[str, np.ndarray], arch: NetArch) -> GreedyPolicy:
+def greedy_policy(params: dict[str, np.ndarray], arch: NetArch, frames: np.ndarray) -> GreedyPolicy:
     def policy(state: StateSeq) -> Action:
-        x, onehot = states_to_batch([state], arch)
+        x, onehot = states_to_batch([state], frames, arch)
         q, _ = forward_batch(params, arch, x, onehot, Mode.INFER)
         return Action(int(np.argmax(q[0])))
 
@@ -408,7 +408,7 @@ def evaluate(params: dict[str, np.ndarray], arch: NetArch, env: AutofocusEnv) ->
 
     Never touches parameters or running statistics.
     """
-    policy = greedy_policy(params, arch)
+    policy = greedy_policy(params, arch, env.net_frames)
     return EvalReport.from_episodes(
         [run_episode(env, policy, start) for start in range(env.n_positions)]
     )
@@ -465,7 +465,7 @@ def train(
         interval_losses: list[float] = []
         for t in range(start_step, hyper.total_timesteps):
             epsilon = epsilon_schedule(t, hyper)
-            action = select_action(params, arch, state, epsilon, rng)
+            action = select_action(params, arch, env.net_frames, state, epsilon, rng)
             transition = env.step(action)
             buffer.push(transition)
             state = transition.next_state if not transition.done else env.reset(rng)
@@ -473,8 +473,8 @@ def train(
             if len(buffer) >= hyper.learn_start:
                 batch = buffer.sample(rng, hyper.batch_size)
                 loss = train_step(
-                    params, target_params, arch, batch, optimizer, hyper.gamma, target_cache,
-                    env.cfg.bonus_magnitude,
+                    params, target_params, arch, env.net_frames, batch, optimizer, hyper.gamma,
+                    target_cache, env.cfg.bonus_magnitude,
                 )
                 interval_losses.append(loss)
 

@@ -48,7 +48,6 @@ class DiscreteMdp:
 
     n_positions: int
     max_steps: int
-    gamma_hint: float
     next_state: np.ndarray  # (n_states, n_actions) int
     rewards: np.ndarray  # (n_states, n_actions) float
     done: np.ndarray  # (n_states, n_actions) bool
@@ -115,7 +114,6 @@ def mdp_from_stack(stack: FocalStack, cfg: EnvConfig | None = None) -> DiscreteM
     return DiscreteMdp(
         n_positions=n,
         max_steps=max_steps,
-        gamma_hint=0.99,
         next_state=next_state,
         rewards=rewards,
         done=done,

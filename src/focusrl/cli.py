@@ -22,7 +22,6 @@ import numpy as np
 
 from focusrl import agent, baselines
 from focusrl.env import AutofocusEnv, EnvConfig
-from focusrl.focus import focus_curve
 from focusrl.imaging import (
     FocalStack,
     crop,
@@ -277,15 +276,16 @@ def cmd_gen_stack(args: argparse.Namespace) -> int:
 
 def cmd_curve(args: argparse.Namespace) -> int:
     stack = load_stack(args.stack)
-    curve = focus_curve(stack)
+    normalized = stack.focus_values / stack.focus_max
     lines = ["index,position_rad,focus,normalized"]
-    for i, (pos, val) in enumerate(zip(stack.positions, curve.values)):
-        lines.append(f"{i},{float(pos)!r},{float(val)!r},{float(val / curve.max_value)!r}")
+    for i, row in enumerate(zip(stack.positions, stack.focus_values, normalized)):
+        lines.append(f"{i}," + ",".join(repr(float(v)) for v in row))
     text = "\n".join(lines) + "\n"
     if args.out:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text, encoding="utf-8")
+        with atomic_open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
         print(f"wrote {len(stack)} rows to {out}")
     else:
         sys.stdout.write(text)
@@ -443,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="target directory (must be empty)")
     p.set_defaults(func=cmd_gen_stack)
 
-    p = sub.add_parser("curve", help="export a saved stack's focus curve as CSV")
+    p = sub.add_parser("curve", help="export a saved stack's stored focus curve as CSV")
     p.add_argument("stack", help="stack directory")
     p.add_argument("--out", help="CSV path (default: stdout)")
     p.set_defaults(func=cmd_curve)

@@ -6,16 +6,21 @@ pays `reward_coeff * (normalized_focus - 1)` plus a terminal bonus of
 `+bonus_magnitude` for stopping sharp and `-bonus_magnitude` for any
 failure (stopping blurry, leaving the legal range, or running out of
 steps).
+
+A state is six integers: the last three stack positions and the action
+codes that led to them.  The env holds the network input of every position
+as one read-only `net_frames` array, so a state names its frames by row.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 
 import numpy as np
 
-from focusrl.imaging.image import Image, resize_bilinear
+from focusrl.imaging.image import resize_bilinear
 from focusrl.imaging.stack import FocalStack
 
 
@@ -68,24 +73,23 @@ class EpisodeOutcome(Enum):
         return self.is_terminal and self is not EpisodeOutcome.SUCCESS_TERMINATE
 
 
-@dataclass(frozen=True)
-class StateSeq:
-    """Agent observation: the last 3 frames and the codes that produced them.
+class StateSeq(namedtuple("StateSeq", ("positions", "action_codes"))):
+    """Agent observation: the last 3 stack positions and the codes that led there.
 
-    `frames[k]` is the frame observed after the action with `action_codes[k]`
-    was taken; index 2 is the most recent.  Fresh episodes repeat the start
-    frame and pad codes with NULL_ACTION_CODE.
+    The frame seen at `positions[k]` was observed after the action with
+    `action_codes[k]` was taken; index 2 is the most recent.  Fresh
+    episodes repeat the start position and pad codes with NULL_ACTION_CODE.
+    The network reads the frames from the env's `net_frames`.
     """
 
-    frames: tuple[Image, Image, Image]
-    action_codes: tuple[int, int, int]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.frames) != ACTION_HISTORY or len(self.action_codes) != ACTION_HISTORY:
-            raise ValueError("state needs exactly 3 frames and 3 action codes")
-        for code in self.action_codes:
-            if not 0 <= code <= NULL_ACTION_CODE:
-                raise ValueError(f"action code {code} outside [0, {NULL_ACTION_CODE}]")
+    def __new__(cls, positions: tuple[int, int, int], action_codes: tuple[int, int, int]):
+        if len(positions) != ACTION_HISTORY or len(action_codes) != ACTION_HISTORY:
+            raise ValueError("state needs exactly 3 positions and 3 action codes")
+        if min(action_codes) < 0 or max(action_codes) > NULL_ACTION_CODE:
+            raise ValueError(f"action codes {action_codes} outside [0, {NULL_ACTION_CODE}]")
+        return tuple.__new__(cls, (tuple(positions), tuple(action_codes)))
 
 
 @dataclass(frozen=True)
@@ -154,15 +158,15 @@ class AutofocusEnv:
                     f"action delta {delta} rad is not a whole number of {stack.spacing} rad steps"
                 )
             self._index_steps[act] = int(round(steps))
-        # Net-input frames are shared, so states hold references, not copies.
-        # Each distinct stack frame is resized once, but every position gets
-        # its own Image: `agent.TargetValueCache` keys on frame identity.
+        # The network input of every position, resized once per distinct
+        # stack frame; states name their frames by row.
         size = cfg.net_input_size
-        resized = {
-            frame: resize_bilinear(frame, size, size).pixels.astype(np.float32)
-            for frame in dict.fromkeys(stack.frames)
-        }
-        self._net_frames = [Image(resized[frame]) for frame in stack.frames]
+        frames = self.net_frames = np.empty((self.n_positions, size, size), dtype=np.float32)
+        first_row: dict[object, int] = {}
+        for i, frame in enumerate(stack.frames):
+            row = first_row.setdefault(frame, i)
+            frames[i] = frames[row] if row < i else resize_bilinear(frame, size, size).pixels
+        frames.flags.writeable = False
         self._index = 0
         self._steps = 0
         self._outcome = EpisodeOutcome.RUNNING
@@ -181,9 +185,8 @@ class AutofocusEnv:
         self._index = index
         self._steps = 0
         self._outcome = EpisodeOutcome.RUNNING
-        frame = self._net_frames[index]
         self._state = StateSeq(
-            frames=(frame, frame, frame),
+            positions=(index, index, index),
             action_codes=(NULL_ACTION_CODE, NULL_ACTION_CODE, NULL_ACTION_CODE),
         )
         return self._state
@@ -229,9 +232,8 @@ class AutofocusEnv:
         focus_now = float(self.normalized_curve[self._index])
         step_reward = reward(focus_now, outcome, self.cfg)
         prev_state = self._state
-        frame = self._net_frames[self._index]
         next_state = StateSeq(
-            frames=(prev_state.frames[1], prev_state.frames[2], frame),
+            positions=(prev_state.positions[1], prev_state.positions[2], self._index),
             action_codes=(prev_state.action_codes[1], prev_state.action_codes[2], int(act)),
         )
         self._state = next_state

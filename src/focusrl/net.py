@@ -6,9 +6,9 @@ history embedding, and a small fully connected head.  `gradient_check`
 compares every analytic parameter gradient against central differences on
 a reduced copy of the network.
 
-Layout is NCHW throughout.  The three frames of a state become the three
-input channels; the three action codes become an 18-way one-hot vector
-(3 history slots x 6 codes).
+Layout is NCHW throughout.  A state's three positions pick its three input
+channels from the env's `net_frames`; its three action codes become an
+18-way one-hot vector (3 history slots x 6 codes).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from focusrl.env import ACTION_HISTORY, NULL_ACTION_CODE, StateSeq
+from focusrl.env import ACTION_HISTORY, NULL_ACTION_CODE
 
 CHECKPOINT_MAGIC = b"FRLQ"
 CHECKPOINT_VERSION = 1
@@ -418,23 +418,20 @@ def _pool_backward(dout: np.ndarray, ctx: tuple, role: str) -> np.ndarray:
 # -- full network --------------------------------------------------------
 
 
-def states_to_batch(
-    states: Sequence[StateSeq], arch: NetArch, dtype=np.float32
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stack states into (B, history, S, S) frames and (B, 18) one-hots."""
-    size = arch.input_size
-    x = np.empty((len(states), arch.history, size, size), dtype=dtype)
-    onehot = np.zeros((len(states), arch.onehot_len), dtype=dtype)
-    for b, state in enumerate(states):
-        for k, frame in enumerate(state.frames):
-            if frame.shape != (size, size):
-                raise ValueError(
-                    f"frame shape {frame.shape} does not match net input {size}x{size}"
-                )
-            x[b, k] = frame.pixels
-        for k, code in enumerate(state.action_codes):
-            onehot[b, k * arch.action_vocab + code] = 1.0
-    return x, onehot
+def states_to_batch(states, frames: np.ndarray, arch: NetArch) -> tuple[np.ndarray, np.ndarray]:
+    """Gather (B, history, S, S) frames and (B, history * vocab) one-hots.
+
+    `states` holds `StateSeq`s or their integer rows: positions, oldest
+    first, then action codes.  `frames` is the env's `net_frames`.
+    """
+    if frames.shape[1:] != (arch.input_size,) * 2:
+        raise ValueError(f"frames of {frames.shape[1:]} do not match net input {arch.input_size}")
+    rows = np.asarray(states, dtype=np.intp).reshape(len(states), 2, arch.history)
+    if ((rows < 0) | (rows >= np.array([[len(frames)], [arch.action_vocab]]))).any():
+        raise ValueError(f"states outside the {len(frames)} positions or {arch.action_vocab} "
+                         f"action codes: {rows.tolist()}")
+    onehot = np.eye(arch.action_vocab, dtype=frames.dtype)[rows[:, 1]]
+    return frames[rows[:, 0]], onehot.reshape(len(rows), arch.onehot_len)
 
 
 def forward_batch(
@@ -636,12 +633,10 @@ def gradient_check(
     """
     rng = np.random.default_rng(seed)
     params = init_params(arch, rng, dtype=np.float64)
-    x = rng.uniform(0.0, 1.0, size=(batch, arch.history, arch.input_size, arch.input_size))
+    frames = rng.uniform(0.0, 1.0, size=(batch * arch.history, arch.input_size, arch.input_size))
     codes = rng.integers(0, arch.action_vocab, size=(batch, arch.history))
-    onehot = np.zeros((batch, arch.onehot_len))
-    for b in range(batch):
-        for k in range(arch.history):
-            onehot[b, k * arch.action_vocab + codes[b, k]] = 1.0
+    positions = np.arange(batch * arch.history).reshape(codes.shape)
+    x, onehot = states_to_batch(np.stack([positions, codes], axis=1), frames, arch)
 
     def loss(p: dict[str, np.ndarray]) -> float:
         q, _ = forward_batch(p, arch, x, onehot, Mode.TRAIN)

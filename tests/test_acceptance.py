@@ -137,7 +137,7 @@ def test_criterion_04_oracle_optimality_bound(exp1_stack, tmp_path):
     cfg = EnvConfig(stack=exp1_stack)
     env = AutofocusEnv(cfg)
     mdp = baselines.mdp_from_stack(exp1_stack, cfg)
-    q = baselines.value_iteration(mdp, mdp.gamma_hint)
+    q = baselines.value_iteration(mdp, 0.99)
     vi = baselines.greedy_policy_report(q, mdp, env)
     hc = baselines.hill_climb(env)
     for name, report in (("value_iteration", vi), ("hill_climb", hc)):
@@ -153,7 +153,7 @@ def test_criterion_04_oracle_optimality_bound(exp1_stack, tmp_path):
 
 def test_criterion_05_tiny_task_learning(tiny_stack):
     mdp = baselines.mdp_from_stack(tiny_stack)
-    q = baselines.value_iteration(mdp, mdp.gamma_hint)
+    q = baselines.value_iteration(mdp, 0.99)
     vi_env = AutofocusEnv(EnvConfig(stack=tiny_stack, net_input_size=32))
     optimum = baselines.greedy_policy_report(q, mdp, vi_env).avg_steps
 
@@ -377,11 +377,11 @@ def test_criterion_10_worked_examples_digest(tmp_path):
     argmax_params = _pinned_q_params([1.0, 5.0, 2.0, 0.0, 0.0])
     tie_params = _pinned_q_params([3.0, 3.0, 0.0, 0.0, 0.0])
     checks.append(
-        agent.select_action(argmax_params, REDUCED_CHECK_ARCH, state, 0.0, rng)
+        agent.select_action(argmax_params, REDUCED_CHECK_ARCH, env16.net_frames, state, 0.0, rng)
         is Action.FINE_POSITIVE
     )
     checks.append(
-        agent.select_action(tie_params, REDUCED_CHECK_ARCH, state, 0.0, rng)
+        agent.select_action(tie_params, REDUCED_CHECK_ARCH, env16.net_frames, state, 0.0, rng)
         is Action.COARSE_POSITIVE
     )
 
@@ -398,7 +398,8 @@ def test_criterion_10_worked_examples_digest(tmp_path):
         done=False,
         outcome=EpisodeOutcome.RUNNING,
     )
-    checks.append(agent.bellman_target(running, fifty, REDUCED_CHECK_ARCH, 0.99) == 47.5)
+    frames = env16.net_frames
+    checks.append(agent.bellman_target(running, fifty, REDUCED_CHECK_ARCH, frames, 0.99) == 47.5)
     terminal = Transition(
         state=moved.state,
         action=Action.TERMINATE,
@@ -407,7 +408,7 @@ def test_criterion_10_worked_examples_digest(tmp_path):
         done=True,
         outcome=EpisodeOutcome.SUCCESS_TERMINATE,
     )
-    checks.append(agent.bellman_target(terminal, fifty, REDUCED_CHECK_ARCH, 0.99) == 100.0)
+    checks.append(agent.bellman_target(terminal, fifty, REDUCED_CHECK_ARCH, frames, 0.99) == 100.0)
 
     # Epsilon schedule midpoint of the decaying half.
     checks.append(

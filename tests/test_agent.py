@@ -10,6 +10,7 @@ from focusrl.agent import (
     HISTOGRAM_BUCKETS,
     LOG_HEADER,
     Adam,
+    Batch,
     EvalReport,
     Hyperparams,
     ReplayBuffer,
@@ -25,12 +26,15 @@ from focusrl.agent import (
     train_step,
 )
 from focusrl.env import (
+    NULL_ACTION_CODE,
     Action,
     AutofocusEnv,
     EnvConfig,
     EpisodeOutcome,
+    StateSeq,
     Transition,
 )
+from focusrl.imaging import resize_bilinear
 from focusrl.net import (
     REDUCED_CHECK_ARCH,
     Mode,
@@ -66,6 +70,14 @@ def _pinned_q_params(q_values):
             arr[...] = 0.0
     params["head_b"][...] = np.asarray(q_values, dtype=np.float32)
     return params
+
+
+def _as_batch(transitions):
+    """The transitions as replay columns, in order."""
+    buffer = ReplayBuffer(len(transitions))
+    for tr in transitions:
+        buffer.push(tr)
+    return buffer.rows(np.arange(len(transitions)))
 
 
 def _fill_buffer(env, rng, buffer_or_list, steps):
@@ -130,10 +142,10 @@ class TestReplayBuffer:
     @staticmethod
     def _sentinel(i):
         return Transition(
-            state=None,
+            state=StateSeq(positions=(i, i, i), action_codes=(NULL_ACTION_CODE,) * 3),
             action=Action.TERMINATE,
             reward=float(i),
-            next_state=None,
+            next_state=StateSeq(positions=(i, i, i), action_codes=(NULL_ACTION_CODE,) * 3),
             done=True,
             outcome=EpisodeOutcome.SUCCESS_TERMINATE,
         )
@@ -149,7 +161,7 @@ class TestReplayBuffer:
         buf = ReplayBuffer(4)
         for i in range(6):
             buf.push(self._sentinel(i))
-        held = sorted(tr.reward for tr in buf)
+        held = sorted(buf.rows(np.arange(len(buf))).rewards.tolist())
         assert held == [2.0, 3.0, 4.0, 5.0]
 
     def test_sample_draws_only_held_items(self, rng):
@@ -157,18 +169,110 @@ class TestReplayBuffer:
         for i in range(20):
             buf.push(self._sentinel(i))
         batch = buf.sample(rng, 64)
-        assert len(batch) == 64
-        assert all(12 <= tr.reward < 20 for tr in batch)
+        assert all(len(column) == 64 for column in batch)
+        assert np.all((12 <= batch.rewards) & (batch.rewards < 20))
+        # Every column of a row comes from the same transition.
+        np.testing.assert_array_equal(batch.states[:, 0, 0], batch.rewards.astype(int))
 
     def test_sample_is_roughly_uniform(self):
         buf = ReplayBuffer(4)
         for i in range(4):
             buf.push(self._sentinel(i))
         rng = np.random.default_rng(0)
-        counts = np.zeros(4)
-        for tr in buf.sample(rng, 8_000):
-            counts[int(tr.reward)] += 1
+        counts = np.bincount(buf.sample(rng, 8_000).rewards.astype(int), minlength=4)
         assert counts.min() > 1_700 and counts.max() < 2_300
+
+    def test_rows_round_trip_a_transition(self, env16):
+        env16.reset_at(5)
+        tr = env16.step(Action.FINE_POSITIVE)
+        batch = _as_batch([tr])
+        assert batch.states.tolist() == [list(map(list, tr.state))]
+        assert batch.next_states.tolist() == [list(map(list, tr.next_state))]
+        assert batch.actions.tolist() == [int(tr.action)]
+        assert batch.rewards.tolist() == [tr.reward]
+        assert batch.done.tolist() == [tr.done]
+
+
+class _ListRing:
+    """The list-of-transitions ring that the column buffer replaced."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self._items = [None] * capacity
+        self._next = 0
+        self._size = 0
+
+    def push(self, transition):
+        self._items[self._next] = transition
+        self._next = (self._next + 1) % self.capacity
+        self._size = min(self._size + 1, self.capacity)
+
+    def sample(self, rng, batch_size):
+        idx = rng.integers(0, self._size, size=batch_size)
+        return [self._items[i] for i in idx]
+
+
+def _copy_loop_batch(states, frames, arch):
+    """The per-state copy loop that the gather in `states_to_batch` replaced.
+
+    `frames[p]` is the float32 network frame of position p.
+    """
+    size = arch.input_size
+    x = np.empty((len(states), arch.history, size, size), dtype=np.float32)
+    onehot = np.zeros((len(states), arch.onehot_len), dtype=np.float32)
+    for b, state in enumerate(states):
+        for k, position in enumerate(state.positions):
+            x[b, k] = frames[position]
+        for k, code in enumerate(state.action_codes):
+            onehot[b, k * arch.action_vocab + code] = 1.0
+    return x, onehot
+
+
+class TestColumnsMatchTheObjectReferences:
+    def _play(self, env, steps, seed):
+        transitions = []
+        _fill_buffer(env, np.random.default_rng(seed), transitions, steps)
+        return transitions
+
+    def test_buffer_draws_the_list_ring_rows_and_leaves_the_rng_alike(self, env16):
+        transitions = self._play(env16, 300, seed=21)
+        columns, ring = ReplayBuffer(64), _ListRing(64)
+        rng_columns, rng_ring = np.random.default_rng(8), np.random.default_rng(8)
+        for t, tr in enumerate(transitions):
+            columns.push(tr)
+            ring.push(tr)
+            if t % 7 == 0:
+                got = columns.sample(rng_columns, 32)
+                want = _as_batch(ring.sample(rng_ring, 32))
+                for name, a, b in zip(Batch._fields, got, want):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (t, name)
+        assert rng_columns.bit_generator.state == rng_ring.bit_generator.state
+
+    @pytest.mark.parametrize("which,size", [("tiny_stack", 32), ("exp1_stack", 64)])
+    def test_gather_equals_the_copy_loop_on_replay_batches(self, request, which, size):
+        stack = request.getfixturevalue(which)
+        env = AutofocusEnv(EnvConfig(stack=stack, net_input_size=size))
+        arch = NetArch(input_size=size)
+        transitions = self._play(env, 400, seed=22)
+        columns, ring = ReplayBuffer(400), _ListRing(400)
+        for tr in transitions:
+            columns.push(tr)
+            ring.push(tr)
+        # One frame per position, as the env built them before `net_frames`.
+        per_position = [
+            resize_bilinear(frame, size, size).pixels.astype(np.float32) for frame in stack.frames
+        ]
+        rng_columns, rng_ring = np.random.default_rng(9), np.random.default_rng(9)
+        for _ in range(5):
+            batch = columns.sample(rng_columns, 32)
+            reference = ring.sample(rng_ring, 32)
+            for states, old_states in ((batch.states, [tr.state for tr in reference]),
+                                       (batch.next_states, [tr.next_state for tr in reference])):
+                x, onehot = states_to_batch(states, env.net_frames, arch)
+                want_x, want_onehot = _copy_loop_batch(old_states, per_position, arch)
+                assert x.dtype == want_x.dtype and x.tobytes() == want_x.tobytes()
+                assert onehot.dtype == want_onehot.dtype
+                assert onehot.tobytes() == want_onehot.tobytes()
 
 
 class TestAdam:
@@ -228,27 +332,27 @@ class TestSelectAction:
         params = _pinned_q_params([1.0, 5.0, 2.0, 0.0, 0.0])
         state = env16.reset_at(0)
         rng = np.random.default_rng(0)
-        assert select_action(params, ARCH, state, 0.0, rng) == Action.FINE_POSITIVE
+        assert select_action(params, ARCH, env16.net_frames, state, 0.0, rng) == Action.FINE_POSITIVE
 
     def test_tie_breaks_to_lowest_code(self, env16):
         params = _pinned_q_params([3.0, 3.0, 0.0, 0.0, 0.0])
         state = env16.reset_at(0)
         rng = np.random.default_rng(0)
-        assert select_action(params, ARCH, state, 0.0, rng) == Action.COARSE_POSITIVE
+        assert select_action(params, ARCH, env16.net_frames, state, 0.0, rng) == Action.COARSE_POSITIVE
 
     def test_uniform_at_full_epsilon(self, env16, params16):
         state = env16.reset_at(0)
         rng = np.random.default_rng(7)
         counts = np.zeros(5)
         for _ in range(10_000):
-            counts[int(select_action(params16, ARCH, state, 1.0, rng))] += 1
+            counts[int(select_action(params16, ARCH, env16.net_frames, state, 1.0, rng))] += 1
         assert counts.min() >= 1_800
         assert counts.max() <= 2_200
 
     def test_rejects_bad_epsilon(self, env16, params16):
         state = env16.reset_at(0)
         with pytest.raises(ValueError):
-            select_action(params16, ARCH, state, 1.5, np.random.default_rng(0))
+            select_action(params16, ARCH, env16.net_frames, state, 1.5, np.random.default_rng(0))
 
 
 class TestBellmanTarget:
@@ -257,7 +361,7 @@ class TestBellmanTarget:
         env16.reset_at(peak)
         tr = env16.step(Action.TERMINATE)
         assert tr.done
-        assert bellman_target(tr, params16, ARCH, gamma=0.99) == pytest.approx(100.0)
+        assert bellman_target(tr, params16, ARCH, env16.net_frames, gamma=0.99) == pytest.approx(100.0)
 
     def test_bootstrap_arithmetic(self, env16):
         env16.reset_at(5)
@@ -265,7 +369,7 @@ class TestBellmanTarget:
         assert not tr.done
         params = _pinned_q_params([50.0, 10.0, 0.0, 0.0, 0.0])
         expected = tr.reward + 0.99 * 50.0
-        assert bellman_target(tr, params, ARCH, gamma=0.99) == pytest.approx(expected, abs=1e-5)
+        assert bellman_target(tr, params, ARCH, env16.net_frames, gamma=0.99) == pytest.approx(expected, abs=1e-5)
         # the spec's worked example: r = -2, max Q' = 50 gives 47.5
         assert -2.0 + 0.99 * 50.0 == pytest.approx(47.5)
 
@@ -273,9 +377,10 @@ class TestBellmanTarget:
         env16.reset_at(3)
         tr = env16.step(Action.COARSE_POSITIVE)
         cache = TargetValueCache()
-        a = bellman_target(tr, params16, ARCH, 0.9, cache)
-        b = bellman_target(tr, params16, ARCH, 0.9, cache)
-        c = bellman_target(tr, params16, ARCH, 0.9)
+        frames = env16.net_frames
+        a = bellman_target(tr, params16, ARCH, frames, 0.9, cache)
+        b = bellman_target(tr, params16, ARCH, frames, 0.9, cache)
+        c = bellman_target(tr, params16, ARCH, frames, 0.9)
         assert a == b
         assert a == pytest.approx(c, abs=1e-6)
         assert len(cache) == 1
@@ -299,16 +404,58 @@ class TestMaxTargetValues:
         s1 = env16.reset_at(2)
         s2 = env16.step(Action.FINE_POSITIVE).next_state
         cache = TargetValueCache()
-        first = max_target_values(params16, ARCH, [s1, s2, s1], cache)
+        frames = env16.net_frames
+        first = max_target_values(params16, ARCH, frames, [s1, s2, s1], cache)
         assert len(cache) == 2
-        second = max_target_values(params16, ARCH, [s1, s2], cache)
+        second = max_target_values(params16, ARCH, frames, [s1, s2], cache)
         np.testing.assert_array_equal(first[:2], second)
+
+    def test_positions_sharing_a_stack_frame_keep_separate_entries(self, env16, params16):
+        # Positions mirrored about the sharpest one share one stack frame
+        # object; their states still differ, and so do their cache keys.
+        frames = env16.cfg.stack.frames
+        mirrored = [
+            (i, j) for i in range(len(frames)) for j in range(i + 1, len(frames))
+            if frames[i] is frames[j]
+        ]
+        assert mirrored
+        i, j = mirrored[0]
+        cache = TargetValueCache()
+        max_target_values(
+            params16, ARCH, env16.net_frames, [env16.reset_at(i), env16.reset_at(j)], cache
+        )
+        assert len(cache) == 2
+        assert cache.get((i, i, i) + (NULL_ACTION_CODE,) * 3) is not None
+        assert cache.get((j, j, j) + (NULL_ACTION_CODE,) * 3) is not None
+
+    def test_lookups_then_one_forward_then_puts_in_order(self, env16, params16, monkeypatch):
+        import focusrl.agent as agent_module
+
+        s1 = env16.reset_at(2)
+        s2 = env16.step(Action.FINE_POSITIVE).next_state
+        cache = TargetValueCache()
+        max_target_values(params16, ARCH, env16.net_frames, [s1], cache)
+        events = []
+        get, put = TargetValueCache.get, TargetValueCache.put
+        forward = agent_module.forward_batch
+        monkeypatch.setattr(TargetValueCache, "get",
+                            lambda self, key: events.append(("get", key)) or get(self, key))
+        monkeypatch.setattr(TargetValueCache, "put",
+                            lambda self, key, v: events.append(("put", key)) or put(self, key, v))
+        monkeypatch.setattr(agent_module, "forward_batch",
+                            lambda *a, **k: events.append(("forward", len(a[2]))) or forward(*a, **k))
+        max_target_values(params16, ARCH, env16.net_frames, [s2, s1, s2], cache)
+        k1 = (*s1.positions, *s1.action_codes)
+        k2 = (*s2.positions, *s2.action_codes)
+        assert events == [
+            ("get", k2), ("get", k1), ("get", k2), ("forward", 2), ("put", k2), ("put", k2),
+        ]
 
     def test_matches_direct_forward(self, env16, params16):
         state = env16.reset_at(4)
-        x, onehot = states_to_batch([state], ARCH)
+        x, onehot = states_to_batch([state], env16.net_frames, ARCH)
         q, _ = forward_batch(params16, ARCH, x, onehot, Mode.INFER)
-        values = max_target_values(params16, ARCH, [state], None)
+        values = max_target_values(params16, ARCH, env16.net_frames, [state], None)
         assert values[0] == pytest.approx(float(q[0].max()), abs=1e-7)
 
 
@@ -322,9 +469,9 @@ class TestTrainStep:
         rng = np.random.default_rng(11)
         params = init_params(ARCH, np.random.default_rng(1))
         raw = self._batch(env16, rng)
-        x, onehot = states_to_batch([tr.state for tr in raw], ARCH)
+        x, onehot = states_to_batch([tr.state for tr in raw], env16.net_frames, ARCH)
         q, _ = forward_batch(params, ARCH, x, onehot, Mode.TRAIN, batch_stats=False)
-        batch = [
+        batch = _as_batch([
             Transition(
                 state=tr.state,
                 action=tr.action,
@@ -334,9 +481,9 @@ class TestTrainStep:
                 outcome=EpisodeOutcome.SUCCESS_TERMINATE,
             )
             for i, tr in enumerate(raw)
-        ]
+        ])
         before = copy_params(params)
-        loss = train_step(params, before, ARCH, batch, Adam(1e-3), gamma=0.9)
+        loss = train_step(params, before, ARCH, env16.net_frames, batch, Adam(1e-3), gamma=0.9)
         assert loss == 0.0
         for name in learnable_names(ARCH):
             np.testing.assert_array_equal(params[name], before[name])
@@ -345,10 +492,10 @@ class TestTrainStep:
         rng = np.random.default_rng(13)
         params = init_params(ARCH, np.random.default_rng(2))
         target = copy_params(params)
-        batch = self._batch(env16, rng)
+        batch = _as_batch(self._batch(env16, rng))
         opt = Adam(1e-3)
-        first = train_step(params, target, ARCH, batch, opt, gamma=0.9)
-        second = train_step(params, target, ARCH, batch, opt, gamma=0.9)
+        first = train_step(params, target, ARCH, env16.net_frames, batch, opt, gamma=0.9)
+        second = train_step(params, target, ARCH, env16.net_frames, batch, opt, gamma=0.9)
         assert second < first
 
     def test_loss_invariant_to_batch_order(self, env16):
@@ -357,12 +504,12 @@ class TestTrainStep:
         a = train_step(
             init_params(ARCH, np.random.default_rng(3)),
             init_params(ARCH, np.random.default_rng(3)),
-            ARCH, batch, Adam(1e-4), gamma=0.9,
+            ARCH, env16.net_frames, _as_batch(batch), Adam(1e-4), gamma=0.9,
         )
         b = train_step(
             init_params(ARCH, np.random.default_rng(3)),
             init_params(ARCH, np.random.default_rng(3)),
-            ARCH, list(reversed(batch)), Adam(1e-4), gamma=0.9,
+            ARCH, env16.net_frames, _as_batch(list(reversed(batch))), Adam(1e-4), gamma=0.9,
         )
         assert a == pytest.approx(b, rel=1e-5)
 
@@ -372,31 +519,34 @@ class TestTrainStep:
         tr = env16.step(Action.FINE_POSITIVE)
         target = _pinned_q_params([150.0, 0.0, 0.0, 0.0, 0.0])
         capped = tr.reward + 0.9 * 100.0
-        got = bellman_target(tr, target, ARCH, 0.9, value_cap=100.0)
+        got = bellman_target(tr, target, ARCH, env16.net_frames, 0.9, value_cap=100.0)
         assert got == pytest.approx(capped, abs=1e-5)
         # An online net already at the capped target has nothing to learn.
         online = _pinned_q_params([capped, 0.0, 0.0, 0.0, 0.0])
-        batch = [dataclasses.replace(tr, action=Action.COARSE_POSITIVE)]
-        loss = train_step(online, target, ARCH, batch, Adam(1e-4), 0.9, value_cap=100.0)
+        batch = _as_batch([dataclasses.replace(tr, action=Action.COARSE_POSITIVE)])
+        loss = train_step(
+            online, target, ARCH, env16.net_frames, batch, Adam(1e-4), 0.9, value_cap=100.0
+        )
         assert loss == pytest.approx(0.0, abs=1e-6)
 
-    def test_rejects_empty_batch(self, params16):
+    def test_rejects_empty_batch(self, params16, env16):
+        empty = ReplayBuffer(1).rows(np.arange(0))
         with pytest.raises(ValueError):
-            train_step(params16, params16, ARCH, [], Adam(1e-4), gamma=0.9)
+            train_step(params16, params16, ARCH, env16.net_frames, empty, Adam(1e-4), gamma=0.9)
 
     def test_aborts_on_non_finite_loss(self, env16):
         rng = np.random.default_rng(19)
         params = init_params(ARCH, np.random.default_rng(4))
         batch = self._batch(env16, rng, n=4)
-        bad = [
+        bad = _as_batch([
             Transition(
                 state=tr.state, action=tr.action, reward=float("nan"),
                 next_state=tr.next_state, done=True, outcome=tr.outcome,
             )
             for tr in batch
-        ]
+        ])
         with pytest.raises(RuntimeError, match="non-finite"):
-            train_step(params, params, ARCH, bad, Adam(1e-4), gamma=0.9)
+            train_step(params, params, ARCH, env16.net_frames, bad, Adam(1e-4), gamma=0.9)
 
 
 class TestEvalReport:
@@ -585,7 +735,9 @@ class TestTrain:
         hyper = Hyperparams(total_timesteps=2000, learn_start=200, eval_interval=2000)
         train(env, hyper, arch, np.random.default_rng(7), tmp_path / "run")
         params, _, _ = load_checkpoint(tmp_path / "run" / "ckpt_2000")
-        x, onehot = states_to_batch([env.reset_at(i) for i in range(env.n_positions)], arch)
+        x, onehot = states_to_batch(
+            [env.reset_at(i) for i in range(env.n_positions)], env.net_frames, arch
+        )
         q, _ = forward_batch(params, arch, x, onehot, Mode.INFER)
         assert q.max() <= env.cfg.bonus_magnitude + 15.0, q.max()
 

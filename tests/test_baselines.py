@@ -42,7 +42,7 @@ def tiny_mdp(tiny_stack):
 
 @pytest.fixture(scope="module")
 def tiny_q(tiny_mdp):
-    return value_iteration(tiny_mdp, tiny_mdp.gamma_hint)
+    return value_iteration(tiny_mdp, 0.99)
 
 
 # Fewest actions to a successful stop from each of the 21 starts: the four
@@ -306,9 +306,6 @@ class TestValueIteration:
         mdp = mdp_from_stack(tiny_stack, cfg)
         assert min_steps_bfs(mdp, 8) == 1
         assert min_steps_bfs(mdp, 0) is None
-
-    def test_gamma_hint(self, tiny_mdp):
-        assert tiny_mdp.gamma_hint == 0.99
 
     def test_last_step_in_region_terminates(self, tiny_mdp, tiny_q, tiny_env):
         # With one action left, everything except Terminate forfeits the

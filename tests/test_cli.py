@@ -162,6 +162,30 @@ class TestCurve:
         assert main(["curve", mini_stack_dir, "--out", str(out)]) == 0
         assert len(out.read_text(encoding="utf-8").strip().splitlines()) == 22
 
+    def test_reports_the_manifest_curve(self, mini_stack_dir, capsys):
+        assert main(["curve", mini_stack_dir]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]
+        manifest = json.loads((Path(mini_stack_dir) / "manifest.json").read_text(encoding="utf-8"))
+        stack = load_stack(mini_stack_dir)
+        focus = [float(row[2]) for row in rows]
+        normalized = [float(row[3]) for row in rows]
+        assert focus == manifest["focus_curve"]
+        assert normalized == [v / manifest["focus_max"] for v in manifest["focus_curve"]]
+        assert int(np.argmax(normalized)) == stack.sharpest_index
+
+    def test_failed_write_keeps_the_previous_file(self, mini_stack_dir, tmp_path, monkeypatch):
+        out = tmp_path / "curve.csv"
+        out.write_text("previous\n", encoding="utf-8")
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            main(["curve", mini_stack_dir, "--out", str(out)])
+        assert out.read_text(encoding="utf-8") == "previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["curve.csv"]
+
 
 class TestTrain:
     def test_run_directory_contents(self, mini_run):

@@ -42,15 +42,21 @@ class TestAction:
 class TestStateSeq:
     def test_requires_three_of_each(self, tiny_env):
         state = tiny_env.reset_at(0)
-        assert len(state.frames) == ACTION_HISTORY
+        assert len(state.positions) == ACTION_HISTORY
         assert len(state.action_codes) == ACTION_HISTORY
         with pytest.raises(ValueError):
-            StateSeq(frames=state.frames[:2], action_codes=state.action_codes)
+            StateSeq(positions=state.positions[:2], action_codes=state.action_codes)
 
     def test_rejects_out_of_range_codes(self, tiny_env):
         state = tiny_env.reset_at(0)
         with pytest.raises(ValueError):
-            StateSeq(frames=state.frames, action_codes=(0, 1, 6))
+            StateSeq(positions=state.positions, action_codes=(0, 1, 6))
+
+    def test_is_a_hashable_tuple_of_ints(self, tiny_env):
+        state = tiny_env.reset_at(4)
+        assert state == ((4, 4, 4), (NULL_ACTION_CODE,) * 3)
+        assert hash(state) == hash(((4, 4, 4), (NULL_ACTION_CODE,) * 3))
+        assert all(type(v) is int for v in (*state.positions, *state.action_codes))
 
     def test_null_codes_only_lead_a_fresh_episode(self, tiny_env):
         state = tiny_env.reset_at(3)
@@ -118,15 +124,23 @@ class TestIsSuccess:
 class TestReset:
     def test_frames_repeat_start_frame(self, tiny_env, rng):
         state = tiny_env.reset(rng)
-        np.testing.assert_array_equal(state.frames[0].pixels, state.frames[1].pixels)
-        np.testing.assert_array_equal(state.frames[1].pixels, state.frames[2].pixels)
+        assert state.positions == (tiny_env.position_index,) * 3
+        frames = tiny_env.net_frames[list(state.positions)]
+        np.testing.assert_array_equal(frames[0], frames[1])
+        np.testing.assert_array_equal(frames[1], frames[2])
 
     def test_one_net_frame_per_position(self, tiny_env, tiny_stack):
-        # The stack shares frames between positions of equal blur, but the
-        # target-value cache keys on frame ids, so env frames stay apart.
+        # The stack shares frames between positions of equal blur; the env
+        # still has one row per position, and a state names it by index.
         assert len({id(frame) for frame in tiny_stack.frames}) < len(tiny_stack)
-        frames = [tiny_env.reset_at(i).frames[2] for i in range(tiny_env.n_positions)]
-        assert len({id(frame) for frame in frames}) == tiny_env.n_positions
+        assert tiny_env.net_frames.shape == (tiny_env.n_positions, 32, 32)
+        assert tiny_env.net_frames.dtype == np.float32
+        for i in range(tiny_env.n_positions):
+            assert tiny_env.reset_at(i).positions[2] == i
+
+    def test_net_frames_are_read_only(self, tiny_env):
+        with pytest.raises(ValueError):
+            tiny_env.net_frames[0, 0, 0] = 0.5
 
     @pytest.mark.parametrize("which,size", [("tiny_stack", 32), ("exp1_stack", 64)])
     def test_net_frames_equal_a_per_position_resize(self, request, which, size):
@@ -134,7 +148,7 @@ class TestReset:
         env = AutofocusEnv(EnvConfig(stack=stack, net_input_size=size))
         for i, frame in enumerate(stack.frames):
             want = resize_bilinear(frame, size, size).pixels.astype(np.float32)
-            got = env.reset_at(i).frames[2].pixels
+            got = env.net_frames[env.reset_at(i).positions[2]]
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
@@ -231,8 +245,11 @@ class TestStep:
         tiny_env.reset_at(5)
         tr = tiny_env.step(Action.FINE_POSITIVE)
         assert tr.next_state.action_codes[-1] == int(Action.FINE_POSITIVE)
+        assert tr.next_state.positions == (5, 5, tiny_env.position_index)
+        assert tr.next_state.positions[1] == tr.state.positions[2]
         np.testing.assert_array_equal(
-            tr.next_state.frames[1].pixels, tr.state.frames[2].pixels
+            tiny_env.net_frames[tr.next_state.positions[1]],
+            tiny_env.net_frames[tr.state.positions[2]],
         )
 
     def test_done_iff_terminal(self, tiny_env, rng):
@@ -284,8 +301,7 @@ class TestSeek:
         sought = tiny_env.seek(4, 0)
         reset = tiny_env.reset_at(4)
         assert sought.action_codes == reset.action_codes
-        for a, b in zip(sought.frames, reset.frames):
-            np.testing.assert_array_equal(a, b)
+        assert sought.positions == reset.positions
 
     def test_max_steps_boundary_is_honored(self, tiny_env):
         tiny_env.seek(10, tiny_env.cfg.max_steps - 1)

@@ -495,8 +495,11 @@ class TestStatesToBatch:
     def test_layout(self, tiny_env):
         state = tiny_env.reset_at(4)
         arch = NetArch(input_size=32)
-        x, onehot = states_to_batch([state], arch)
+        x, onehot = states_to_batch([state], tiny_env.net_frames, arch)
         assert x.shape == (1, 3, 32, 32)
+        assert x.dtype == onehot.dtype == np.float32
+        for k in range(3):
+            assert x[0, k].tobytes() == tiny_env.net_frames[4].tobytes()
         assert onehot.shape == (1, 18)
         for k in range(3):
             assert onehot[0, k * arch.action_vocab + NULL_ACTION_CODE] == 1.0
@@ -505,7 +508,19 @@ class TestStatesToBatch:
     def test_rejects_wrong_frame_size(self, exp1_env):
         state = exp1_env.reset_at(0)  # 64px frames
         with pytest.raises(ValueError, match="input"):
-            states_to_batch([state], NetArch(input_size=32))
+            states_to_batch([state], exp1_env.net_frames, NetArch(input_size=32))
+
+    @pytest.mark.parametrize("positions", [(0, 0, 21), (-1, 0, 0)])
+    def test_rejects_positions_outside_the_frames(self, tiny_env, positions):
+        rows = np.array([[positions, (NULL_ACTION_CODE,) * 3]])
+        with pytest.raises(ValueError, match="positions"):
+            states_to_batch(rows, tiny_env.net_frames, NetArch(input_size=32))
+
+    @pytest.mark.parametrize("codes", [(0, 1, NULL_ACTION_CODE + 1), (-1, 0, 0)])
+    def test_rejects_action_codes_outside_the_vocabulary(self, tiny_env, codes):
+        rows = np.array([[(0, 1, 2), codes]])
+        with pytest.raises(ValueError, match="action codes"):
+            states_to_batch(rows, tiny_env.net_frames, NetArch(input_size=32))
 
 
 class TestCheckpoint:
