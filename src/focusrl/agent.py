@@ -13,6 +13,7 @@ logs, checkpoints, and reports bit for bit.
 
 from __future__ import annotations
 
+import copy
 import csv
 from dataclasses import dataclass
 import json
@@ -428,8 +429,8 @@ def train(
 
     Produces `train_log.csv` (one row per evaluation point), a checkpoint
     `ckpt_<timestep>` and matching `eval_<timestep>.json` at every
-    evaluation.  Evaluations run serially on a second env over the same
-    stack, so the training episode in progress is left untouched.
+    evaluation.  Evaluations run serially on a copy of `env` that shares its
+    frames, so the training episode in progress is left untouched.
     Resuming restarts from a checkpoint's parameters and step counter with
     a fresh replay buffer.  `eval_threads` must be 1; it remains only so
     existing callers that pass it keep working.
@@ -452,7 +453,7 @@ def train(
     target_cache = TargetValueCache()
     optimizer = Adam(hyper.learning_rate, hyper.adam_beta1, hyper.adam_beta2, hyper.adam_eps)
     buffer = ReplayBuffer(hyper.replay_capacity)
-    eval_env = AutofocusEnv(env.cfg)
+    eval_env = copy.copy(env)
 
     history: list[dict] = []
     log_path = out_path / "train_log.csv"

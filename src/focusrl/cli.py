@@ -8,6 +8,7 @@ same config and seed reproduces its output files byte for byte.
 from __future__ import annotations
 
 import argparse
+import copy
 import dataclasses
 import importlib.resources
 import json
@@ -305,9 +306,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     env = AutofocusEnv(config.env_config(stack))
     arch = config.net_arch()
     hyper = config.hyperparams()
-    # The optimum this run is judged against, solved on an env of its own so
+    # The optimum this run is judged against, solved on a copy of the env so
     # the training env starts untouched.
-    oracle = _value_iteration_report(AutofocusEnv(config.env_config(stack)), hyper.gamma)
+    oracle = _value_iteration_report(copy.copy(env), hyper.gamma)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(

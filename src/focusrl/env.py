@@ -140,7 +140,17 @@ def reward(cur_focus_norm: float, outcome: EpisodeOutcome, cfg: EnvConfig) -> fl
 
 
 class AutofocusEnv:
-    """Stateful episode runner; one instance drives one episode at a time."""
+    """Stateful episode runner; one instance drives one episode at a time.
+
+    `copy.copy(env)` gives a second runner over the same frames: `net_frames`
+    is read-only, and every episode field is an immutable value that
+    `reset_at` and `step` rebind, so neither copy's episodes touch the other.
+    """
+
+    # Without slots, `copy.copy` reads the instance `__dict__`, and on CPython
+    # 3.11 every later attribute read of the original, in `step` too, is slower.
+    __slots__ = ("cfg", "normalized_curve", "n_positions", "_index_steps", "net_frames",
+                 "_index", "_steps", "_outcome", "_state")
 
     def __init__(self, cfg: EnvConfig):
         self.cfg = cfg

@@ -17,6 +17,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 import json
+import math
 import os
 from pathlib import Path
 import struct
@@ -168,32 +169,37 @@ def copy_params(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
 
 
 class _Workspace:
-    """Role-keyed scratch buffers, reused across steps.
+    """One set of scratch buffers per conv stage, shared by every pass.
 
-    Each role (e.g. the stage-2 training-pass patch matrix) keeps one
-    buffer alive and overwrites it.  Page faults of fresh allocations are
-    not what makes the big matrix products slow: on a 2-vCPU Xeon with
-    OpenBLAS 0.3.31 on one thread, the stage-2 dx patch product at exp1
-    scale (batch 32) took 19.4 ms into a fresh array, 19.2 ms into a
-    preallocated one, and 8.1 ms (7.9 ms fresh) with rows padded as in
-    `_im2col`.  Inside the train loop, fresh arrays for every role did cost
-    about 8% of env steps/s.
-    A buffer is only valid until the next call that claims the same role.
-    Every TRAIN forward claims the training roles, so a cached forward pass
-    is only usable until the next TRAIN forward: `train_passes` counts
-    them, and `backward_batch` refuses a cache from an earlier one.
+    Each key (e.g. `stage2.cols`, the stage-2 patch matrix) keeps one flat
+    buffer that grows to the largest size ever asked of it; `get` returns
+    its first elements as a contiguous array of the asked shape, so a
+    batch-1 pass lays its data out as in a buffer of its own.  Fresh arrays
+    instead cost the train loop about 8% of env steps/s.
+    The backward reuses what the forward no longer needs: the pool gradient,
+    then the (H, W, B)-ordered conv gradient, go into `out`; the batch-norm
+    input gradient over `xhat` once dgamma is taken; the dx patch product
+    into `cols` once dw is taken; the `_col2im` accumulator into `xpad`.
+    So any forward, TRAIN or INFER, overwrites what an earlier cache points
+    into: `passes` counts forwards, and `backward_batch` refuses a cache
+    from any but the latest.
     """
 
     def __init__(self):
         self._bufs: dict[str, np.ndarray] = {}
-        self.train_passes = 0
+        self._views: dict[tuple, np.ndarray] = {}
+        self.passes = 0
 
     def get(self, key: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-        buf = self._bufs.get(key)
-        if buf is None or buf.shape != shape or buf.dtype != np.dtype(dtype):
-            buf = np.empty(shape, dtype)
-            self._bufs[key] = buf
-        return buf
+        view = self._views.get((key, shape, dtype))
+        if view is None:
+            nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+            buf = self._bufs.get(key)
+            if buf is None or buf.size < nbytes:
+                buf = self._bufs[key] = np.empty(nbytes, np.uint8)
+                self._views = {k: v for k, v in self._views.items() if k[0] != key}
+            view = self._views[key, shape, dtype] = buf[:nbytes].view(dtype).reshape(shape)
+        return view
 
 
 _WS = _Workspace()
@@ -242,7 +248,7 @@ def _col2im(dcols: np.ndarray, shape: tuple[int, int, int, int], k: int, role: s
     c, b, h, w = shape
     pad = k // 2
     dcols = dcols.reshape(c, k, k, h, w, b)
-    dxpad = _WS.get(f"{role}.dxpad", (c, h + 2 * pad, w + 2 * pad, b), dcols.dtype)
+    dxpad = _WS.get(f"{role}.xpad", (c, h + 2 * pad, w + 2 * pad, b), dcols.dtype)
     dxpad.fill(0)
     for ki in range(k):
         for kj in range(k):
@@ -274,15 +280,14 @@ def _conv_backward(
     dw = (cols @ dout_mat.T).T.reshape(w.shape)
     dx = None
     if need_dx:
-        # Columns in (H, W, B) order for `_col2im`; permuting the columns
-        # of a matrix product leaves each of its elements as it was.  Rows
-        # padded as in `_im2col`, in a fresh buffer: one kept per stage
-        # would add its size to the peak memory of every forward pass.
-        n = b * h * width
-        dout_hwb = np.ascontiguousarray(dout.transpose(0, 2, 3, 1)).reshape(c_out, n)
-        dcols = np.empty((cols.shape[0], n + ROW_PAD), dout.dtype)[:, :n]
-        np.matmul(w.reshape(c_out, -1).T, dout_hwb, out=dcols)
-        dx = _col2im(dcols, x_shape, k, role)
+        # `cols` is dead once dw is taken and `out` once the conv gradient
+        # is in `xhat`: the dx patch product goes into the padded rows of
+        # the one, its (H, W, B)-ordered input into the other.  Permuting
+        # the columns of a matrix product leaves each element as it was.
+        dout_hwb = _WS.get(f"{role}.out", (c_out, h, width, b), dout.dtype)
+        np.copyto(dout_hwb, dout.transpose(0, 2, 3, 1))
+        np.matmul(w.reshape(c_out, -1).T, dout_hwb.reshape(c_out, b * h * width), out=cols)
+        dx = _col2im(cols, x_shape, k, role)
     return dx, dw
 
 
@@ -337,10 +342,8 @@ def _bn_forward(
     return out, {"xhat": xhat, "inv_std": inv_std, "gamma": gamma, "renorm": renorm}
 
 
-def _bn_backward(
-    dout: np.ndarray, ctx: dict, role: str = "bn"
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """May overwrite `dout`; its buffer is not needed afterwards."""
+def _bn_backward(dout: np.ndarray, ctx: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Writes the input gradient over `ctx["xhat"]` and may overwrite `dout`."""
     xhat = ctx["xhat"]
     inv_std = ctx["inv_std"]
     gamma = ctx["gamma"]
@@ -351,8 +354,8 @@ def _bn_backward(
     # Gradient through the batch statistics as well as the normalization:
     # dx = inv_std * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
     # with dxhat = gamma * dout, written to minimize full-size temporaries.
-    dx = _WS.get(f"{role}.dbn", dout.shape, dout.dtype)
-    np.multiply(xhat, ((gamma * dgamma) / n)[bc], out=dx)
+    dx = xhat  # dead once dgamma is taken
+    dx *= ((gamma * dgamma) / n)[bc]
     dx += ((gamma * dbeta) / n)[bc]
     dout *= gamma[bc]
     dx -= dout
@@ -404,7 +407,7 @@ def _pool_backward(dout: np.ndarray, ctx: tuple, role: str) -> np.ndarray:
     grad = np.multiply(dout, pooled > 0, order="C")
     as_int = np.dtype(f"i{grad.itemsize}")
     bits = grad.view(as_int)
-    dx = _WS.get(f"{role}.dpool", x_shape, grad.dtype)
+    dx = _WS.get(f"{role}.out", x_shape, grad.dtype)  # the pool input is dead
     d00, d01, d10, d11 = (q.view(as_int) for q in _pool_windows(dx))
     lower = bits * low
     upper = np.subtract(bits, lower, out=bits)
@@ -427,11 +430,13 @@ def states_to_batch(states, frames: np.ndarray, arch: NetArch) -> tuple[np.ndarr
     if frames.shape[1:] != (arch.input_size,) * 2:
         raise ValueError(f"frames of {frames.shape[1:]} do not match net input {arch.input_size}")
     rows = np.asarray(states, dtype=np.intp).reshape(len(states), 2, arch.history)
-    if ((rows < 0) | (rows >= np.array([[len(frames)], [arch.action_vocab]]))).any():
+    # One reduction checks both ranges: as unsigned, a negative exceeds both.
+    top_position, top_code = rows.view(np.uintp).max(axis=(0, 2), initial=0).tolist()
+    if top_position >= len(frames) or top_code >= arch.action_vocab:
         raise ValueError(f"states outside the {len(frames)} positions or {arch.action_vocab} "
                          f"action codes: {rows.tolist()}")
-    onehot = np.eye(arch.action_vocab, dtype=frames.dtype)[rows[:, 1]]
-    return frames[rows[:, 0]], onehot.reshape(len(rows), arch.onehot_len)
+    onehot = np.eye(arch.action_vocab, dtype=frames.dtype).take(rows[:, 1], axis=0)
+    return frames.take(rows[:, 0], axis=0), onehot.reshape(len(rows), arch.onehot_len)
 
 
 def forward_batch(
@@ -461,7 +466,8 @@ def forward_batch(
     if mode is Mode.INFER and (update_running or want_cache):
         raise ValueError("running-stat updates and backward caches need TRAIN mode")
 
-    cache: dict = {"x_shapes": [], "cols": [], "bn": [], "pool": []}
+    _WS.passes += 1
+    cache: dict = {"pass": _WS.passes, "x_shapes": [], "cols": [], "bn": [], "pool": []}
     # The trunk runs channel-major (C, B, H, W); see `_im2col`.
     out = np.ascontiguousarray(x.transpose(1, 0, 2, 3))
     if mode is Mode.INFER:
@@ -472,16 +478,14 @@ def forward_batch(
             scale = gamma / np.sqrt(params[f"bn{i}_rvar"] + arch.bn_eps)
             shift = params[f"bn{i}_beta"] - params[f"bn{i}_rmean"] * scale
             w = params[f"conv{i}_w"] * scale[:, None, None, None].astype(out.dtype)
-            conv_out, _ = _conv_forward(out, w, role=f"infer{i}")
+            conv_out, _ = _conv_forward(out, w, role=f"stage{i}")
             conv_out += shift[:, None, None, None]
             np.maximum(conv_out, 0, out=conv_out)
-            out, _ = _pool_forward(conv_out, role=f"infer{i}")
+            out, _ = _pool_forward(conv_out, role=f"stage{i}")
     else:
-        _WS.train_passes += 1
-        cache["train_pass"] = _WS.train_passes
         for i in range(1, 5):
             x_in = out
-            conv_out, cols = _conv_forward(x_in, params[f"conv{i}_w"], role=f"train{i}")
+            conv_out, cols = _conv_forward(x_in, params[f"conv{i}_w"], role=f"stage{i}")
             bn_out, bn_ctx = _bn_forward(
                 conv_out,
                 params[f"bn{i}_gamma"],
@@ -492,10 +496,10 @@ def forward_batch(
                 arch.bn_eps,
                 update_running,
                 batch_stats,
-                role=f"train{i}",
+                role=f"stage{i}",
             )
             bn_out *= bn_out > 0  # the normalized buffer becomes the ReLU output
-            pool_out, pool_ctx = _pool_forward(bn_out, role=f"train{i}", route=want_cache)
+            pool_out, pool_ctx = _pool_forward(bn_out, role=f"stage{i}", route=want_cache)
             if want_cache:
                 cache["x_shapes"].append(x_in.shape)
                 cache["cols"].append(cols)
@@ -552,12 +556,13 @@ def backward_batch(
 ) -> dict[str, np.ndarray]:
     """Gradients of every learnable parameter given dL/dq.
 
-    `cache` must come from the latest TRAIN forward: a later one overwrites
-    the buffers it points into, so a stale cache raises RuntimeError.
+    `cache` must come from the latest forward, TRAIN or INFER: a later one
+    overwrites the buffers it points into, so a stale cache raises
+    RuntimeError.  The backward then reuses those buffers in turn.
     """
-    if cache["train_pass"] != _WS.train_passes:
+    if cache["pass"] != _WS.passes:
         raise RuntimeError(
-            "stale forward cache: a later TRAIN forward reused its buffers; "
+            "stale forward cache: a later forward reused its buffers; "
             "run the forward pass again before backward_batch"
         )
     grads: dict[str, np.ndarray] = {}
@@ -589,8 +594,8 @@ def backward_batch(
     dout = (params["reduce_w"].T @ dred).reshape(arch.conv_channels[-1], b, m, m)
 
     for i in range(4, 0, -1):
-        drelu = _pool_backward(dout, cache["pool"][i - 1], role=f"bwd{i}")
-        dconv, dgamma, dbeta = _bn_backward(drelu, cache["bn"][i - 1], role=f"bwd{i}")
+        drelu = _pool_backward(dout, cache["pool"][i - 1], role=f"stage{i}")
+        dconv, dgamma, dbeta = _bn_backward(drelu, cache["bn"][i - 1])
         grads[f"bn{i}_gamma"] = dgamma
         grads[f"bn{i}_beta"] = dbeta
         dout, dw = _conv_backward(
@@ -599,7 +604,7 @@ def backward_batch(
             params[f"conv{i}_w"],
             cache["x_shapes"][i - 1],
             need_dx=(i > 1),
-            role=f"bwd{i}",
+            role=f"stage{i}",
         )
         grads[f"conv{i}_w"] = dw
     return grads

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,11 +35,13 @@ from focusrl.env import (
     StateSeq,
     Transition,
 )
+from focusrl import agent as agent_module, net
 from focusrl.imaging import resize_bilinear
 from focusrl.net import (
     REDUCED_CHECK_ARCH,
     Mode,
     NetArch,
+    backward_batch,
     copy_params,
     forward_batch,
     init_params,
@@ -549,6 +552,68 @@ class TestTrainStep:
             train_step(params, params, ARCH, env16.net_frames, bad, Adam(1e-4), gamma=0.9)
 
 
+class TestSharedWorkspace:
+    """Acting, bootstrapping and learning share one buffer set per conv stage."""
+
+    @staticmethod
+    def _stage_bytes(monkeypatch, run):
+        ws = net._Workspace()
+        monkeypatch.setattr(net, "_WS", ws)
+        run()
+        return {key: buf.nbytes for key, buf in ws._bufs.items()}
+
+    def test_one_buffer_set_per_stage(self, tiny_env, monkeypatch):
+        arch = NetArch(input_size=32)
+        frames = tiny_env.net_frames
+        rng = np.random.default_rng(31)
+        params = init_params(arch, rng)
+        target = copy_params(params)
+        buffer = ReplayBuffer(100)
+        _fill_buffer(tiny_env, rng, buffer, 100)
+        batch = buffer.sample(rng, 32)
+
+        def act_bootstrap_learn():
+            select_action(params, arch, frames, tiny_env.reset_at(3), 0.0, rng)
+            max_target_values(target, arch, frames, batch.next_states[:7])
+            train_step(params, target, arch, frames, batch, Adam(1e-4), gamma=0.9)
+
+        def lone_train_pass():
+            x, onehot = states_to_batch(batch.states, frames, arch)
+            q, cache = forward_batch(params, arch, x, onehot, Mode.TRAIN, want_cache=True)
+            backward_batch(params, arch, cache, q)
+
+        shared = self._stage_bytes(monkeypatch, act_bootstrap_learn)
+        assert shared == self._stage_bytes(monkeypatch, lone_train_pass)
+        names = ("xpad", "cols", "out", "xhat", "pout", "ptmp", "right", "lowright", "low")
+        assert set(shared) == {f"stage{i}.{name}" for i in range(1, 5) for name in names}
+
+    def test_train_step_allocates_no_patch_sized_array(self, tiny_stack):
+        # Small dense layers keep their gradients far below the conv scale.
+        env = AutofocusEnv(EnvConfig(stack=tiny_stack, net_input_size=64))
+        arch = NetArch(input_size=64, embed_dim=8, fc_width=8)
+        rng = np.random.default_rng(32)
+        params = init_params(arch, rng)
+        target = copy_params(params)
+        optimizer = Adam(1e-4)
+        buffer = ReplayBuffer(200)
+        _fill_buffer(env, rng, buffer, 200)
+        for _ in range(2):  # warm-up: the workspace reaches its batch-32 size
+            train_step(params, target, arch, env.net_frames, buffer.sample(rng, 32), optimizer, 0.9)
+        batch = buffer.sample(rng, 32)
+        tracemalloc.start()  # numpy reports its data buffers to tracemalloc
+        try:
+            train_step(params, target, arch, env.net_frames, batch, optimizer, 0.9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        patch_bytes = []
+        c_in, size = arch.history, arch.input_size
+        for c_out in arch.conv_channels:
+            patch_bytes.append(c_in * arch.kernel_size**2 * 32 * size * size * 4)
+            c_in, size = c_out, size // 2
+        assert peak < min(patch_bytes), (peak, patch_bytes)
+
+
 class TestEvalReport:
     def test_from_episodes_arithmetic(self):
         episodes = [
@@ -694,6 +759,16 @@ class TestTrain:
         assert arch == ARCH
         for name in params:
             np.testing.assert_array_equal(loaded[name], params[name])
+
+    def test_evaluates_on_a_copy_sharing_the_frames(self, env16, tmp_path, monkeypatch):
+        seen = []
+        real = agent_module.evaluate
+        monkeypatch.setattr(agent_module, "evaluate",
+                            lambda params, arch, env: seen.append(env) or real(params, arch, env))
+        hyper = Hyperparams(total_timesteps=100, **self.HYPER)
+        train(env16, hyper, ARCH, np.random.default_rng(1), tmp_path / "run")
+        assert len(seen) == 1
+        assert seen[0] is not env16 and seen[0].net_frames is env16.net_frames
 
     def test_log_header(self, env16, tmp_path):
         hyper = Hyperparams(total_timesteps=50, **self.HYPER)

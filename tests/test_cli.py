@@ -17,6 +17,7 @@ import pytest
 from focusrl import baselines
 from focusrl.agent import Hyperparams
 from focusrl.cli import _write_json, list_presets, load_config, main
+from focusrl.env import AutofocusEnv
 from focusrl.imaging import load_stack
 
 MINI = {
@@ -242,6 +243,20 @@ class TestTrain:
         first = (mini_run / "train_log.csv").read_bytes()
         assert (out / "train_log.csv").read_bytes() == first
         assert (out / "ckpt_300").read_bytes() == (mini_run / "ckpt_300").read_bytes()
+
+    def test_one_env_serves_training_evaluation_and_the_oracle(self, mini_config, tmp_path,
+                                                                monkeypatch):
+        # Evaluation and the oracle run on copies that share its frames.
+        built = []
+        init = AutofocusEnv.__init__
+
+        def counted(env, cfg):
+            built.append(cfg)
+            init(env, cfg)
+
+        monkeypatch.setattr(AutofocusEnv, "__init__", counted)
+        assert main(["train", "--config", mini_config, "--out", str(tmp_path / "r4")]) == 0
+        assert len(built) == 1
 
     def test_seed_flag_changes_the_run(self, mini_config, mini_run, tmp_path):
         out = tmp_path / "r3"

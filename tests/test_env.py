@@ -1,5 +1,7 @@
 """Episode state machine, reward shaping, and termination rules."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,25 @@ class TestReset:
         monkeypatch.setattr(env_module, "resize_bilinear", counted)
         AutofocusEnv(_cfg(tiny_stack))
         assert sorted(calls) == sorted({id(frame) for frame in tiny_stack.frames})
+
+    def test_copy_shares_frames_not_episodes(self, tiny_env):
+        original = tiny_env
+        original.reset_at(5)
+        original.step(Action.FINE_POSITIVE)
+        before = (original.position_index, original.steps_taken, original.outcome)
+        twin = copy.copy(original)
+        assert twin.net_frames is original.net_frames
+        # Slots: copying reads no instance dict, which would slow the original.
+        assert not hasattr(original, "__dict__")
+        twin.reset_at(0)
+        while not twin.done:
+            twin.step(Action.FINE_NEGATIVE)  # ends out of range
+        assert twin.outcome is EpisodeOutcome.FAIL_OUT_OF_RANGE
+        assert (original.position_index, original.steps_taken, original.outcome) == before
+        # The original's episode goes on from where it was.
+        transition = original.step(Action.FINE_NEGATIVE)
+        assert transition.state == StateSeq((5, 5, 6), (NULL_ACTION_CODE, NULL_ACTION_CODE, 1))
+        assert transition.next_state.positions == (5, 6, 5)
 
     def test_step_counter_reads_zero(self, tiny_env, rng):
         tiny_env.reset(rng)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from focusrl.env import NULL_ACTION_CODE
+from focusrl.env import NULL_ACTION_CODE, StateSeq
 from focusrl.net import (
     MAC_BUDGET,
     MAC_TOLERANCE,
@@ -28,6 +28,7 @@ from focusrl.net import (
     param_spec,
     save_checkpoint,
     states_to_batch,
+    _Workspace,
     _bn_forward,
     _conv_backward,
     _conv_forward,
@@ -301,6 +302,37 @@ class TestBackward:
         with pytest.raises(RuntimeError, match="stale"):
             backward_batch(params, SMALL, cache_a, q)
 
+    def test_infer_forward_makes_a_train_cache_stale(self, rng):
+        # Inference runs on the same stage buffers, at any batch size.
+        params = init_params(SMALL, rng)
+        x, onehot = _random_batch(SMALL, rng)
+        q, cache = forward_batch(params, SMALL, x, onehot, Mode.TRAIN, want_cache=True)
+        forward_batch(params, SMALL, x[:1], onehot[:1], Mode.INFER)
+        with pytest.raises(RuntimeError, match="stale"):
+            backward_batch(params, SMALL, cache, q)
+
+
+class TestWorkspace:
+    def test_smaller_views_are_prefixes_of_one_buffer(self):
+        ws = _Workspace()
+        small = ws.get("k", (2, 3), np.float32)
+        assert ws.get("k", (2, 3), np.float32) is small  # one dict hit
+        big = ws.get("k", (4, 5), np.float32)
+        assert big.flags.c_contiguous
+        again = ws.get("k", (2, 3), np.float32)
+        assert again.ctypes.data == big.ctypes.data and again.flags.c_contiguous
+        flags = ws.get("k", (3, 4), bool)
+        assert flags.ctypes.data == big.ctypes.data
+        assert [buf.nbytes for buf in ws._bufs.values()] == [4 * 5 * 4]
+
+    def test_buffers_grow_to_the_largest_request(self):
+        ws = _Workspace()
+        ws.get("k", (8,), np.float64)
+        ws.get("k", (3,), np.float32)
+        assert ws._bufs["k"].nbytes == 64
+        ws.get("k", (32,), np.float32)
+        assert ws._bufs["k"].nbytes == 128
+
 
 def _bits_equal(a: np.ndarray, b: np.ndarray) -> bool:
     """Same shape, dtype and bytes: tells +0.0 from -0.0, unlike ==."""
@@ -521,6 +553,47 @@ class TestStatesToBatch:
         rows = np.array([[(0, 1, 2), codes]])
         with pytest.raises(ValueError, match="action codes"):
             states_to_batch(rows, tiny_env.net_frames, NetArch(input_size=32))
+
+    @pytest.mark.parametrize("batch", [1, 7, 32])
+    def test_bitwise_equal_to_the_masked_gather(self, tiny_env, batch):
+        frames = tiny_env.net_frames
+        arch = NetArch(input_size=32)
+        rng = np.random.default_rng(batch)
+        positions = rng.integers(0, len(frames), size=(batch, arch.history))
+        codes = rng.integers(0, arch.action_vocab, size=(batch, arch.history))
+        # The first state holds the lowest position and code, the last the highest.
+        positions[0], codes[0] = 0, 0
+        positions[-1, -1], codes[-1, -1] = len(frames) - 1, NULL_ACTION_CODE
+        rows = np.stack([positions, codes], axis=1)
+        states = [StateSeq(tuple(p), tuple(c)) for p, c in zip(positions.tolist(), codes.tolist())]
+        for given in (rows, rows.reshape(batch, -1), states):
+            got = states_to_batch(given, frames, arch)
+            want = _reference_states_to_batch(given, frames, arch)
+            for a, b in zip(got, want):
+                assert _bits_equal(a, b)
+
+    @pytest.mark.parametrize("row", [
+        (0, 0, 21, 0, 0, 0), (-1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 6, 0), (0, 0, 0, 0, 0, -1),
+        (2**62, 0, 0, 0, 0, 0), (0, -2**62, 0, 0, 0, 0), (0, 0, 0, 2**62, 0, 0),
+        (0, 0, 0, 0, 0),
+    ])
+    def test_rejects_what_the_masked_gather_rejects(self, tiny_env, row):
+        arch = NetArch(input_size=32)
+        rows = np.array([row])
+        for fn in (_reference_states_to_batch, states_to_batch):
+            with pytest.raises(ValueError):
+                fn(rows, tiny_env.net_frames, arch)
+
+
+def _reference_states_to_batch(states, frames, arch):
+    """`states_to_batch` as a masked range check and fancy-indexed gathers."""
+    if frames.shape[1:] != (arch.input_size,) * 2:
+        raise ValueError(f"frames of {frames.shape[1:]} do not match net input {arch.input_size}")
+    rows = np.asarray(states, dtype=np.intp).reshape(len(states), 2, arch.history)
+    if ((rows < 0) | (rows >= np.array([[len(frames)], [arch.action_vocab]]))).any():
+        raise ValueError("states out of range")
+    onehot = np.eye(arch.action_vocab, dtype=frames.dtype)[rows[:, 1]]
+    return frames[rows[:, 0]], onehot.reshape(len(rows), arch.onehot_len)
 
 
 class TestCheckpoint:
