@@ -26,6 +26,7 @@ from focusrl.env import ACTION_HISTORY, Action, AutofocusEnv, EpisodeOutcome, St
 from focusrl.net import (
     Mode,
     NetArch,
+    Params,
     atomic_open,
     backward_batch,
     copy_params,
@@ -141,12 +142,13 @@ class ReplayBuffer:
 
 
 class Adam:
-    """Standard Adam with bias correction, updating arrays in place.
+    """Standard Adam with bias correction, updating one flat vector in place.
 
-    Each array keeps its moments and two scratch buffers, so a step
-    allocates nothing; the operations and their order are those of
-    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g, and
-    p -= lr m_hat / (sqrt(v_hat) + eps).
+    The two moments and two scratch buffers are vectors the size of the
+    parameters, so a step allocates nothing; the operations and their order
+    are those of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g, and
+    p -= lr m_hat / (sqrt(v_hat) + eps).  An element whose gradient has
+    always been 0, such as a running statistic, steps by exactly 0.
     """
 
     def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -155,33 +157,29 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self._state: dict[str, tuple[np.ndarray, ...]] = {}
+        self._state: tuple[np.ndarray, ...] | None = None
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
+        """One update of the 1-D `params` (e.g. a `Params.flat`) by `grads`."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for name, grad in grads.items():
-            state = self._state.get(name)
-            if state is None:
-                p = params[name]
-                state = self._state[name] = (
-                    np.zeros_like(p), np.zeros_like(p), np.empty_like(p), np.empty_like(p)
-                )
-            m, v, step, denom = state
-            m *= b1
-            np.multiply(1.0 - b1, grad, out=step)
-            m += step
-            v *= b2
-            np.multiply(1.0 - b2, grad, out=step)
-            step *= grad
-            v += step
-            np.divide(m, 1.0 - b1**self.t, out=step)
-            np.divide(v, 1.0 - b2**self.t, out=denom)
-            np.sqrt(denom, out=denom)
-            denom += self.eps
-            np.multiply(self.lr, step, out=step)
-            step /= denom
-            params[name] -= step
+        if self._state is None:
+            self._state = tuple(np.zeros_like(params) for _ in range(4))
+        m, v, step, denom = self._state
+        m *= b1
+        np.multiply(1.0 - b1, grads, out=step)
+        m += step
+        v *= b2
+        np.multiply(1.0 - b2, grads, out=step)
+        step *= grads
+        v += step
+        np.divide(m, 1.0 - b1**self.t, out=step)
+        np.divide(v, 1.0 - b2**self.t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        np.multiply(self.lr, step, out=step)
+        step /= denom
+        params -= step
 
 
 def select_action(
@@ -269,8 +267,8 @@ def bellman_target(
 
 
 def train_step(
-    params: dict[str, np.ndarray],
-    target_params: dict[str, np.ndarray],
+    params: Params,
+    target_params: Params,
     arch: NetArch,
     frames: np.ndarray,
     batch: Batch,
@@ -312,7 +310,7 @@ def train_step(
     dq = np.zeros_like(q)
     dq[rows, batch.actions] = (2.0 / n) * diff
     grads = backward_batch(params, arch, fwd_cache, dq)
-    optimizer.step(params, grads)
+    optimizer.step(params.flat, grads.flat)
     return loss
 
 
@@ -424,7 +422,7 @@ def train(
     resume_from: str | Path | None = None,
     eval_threads: int = 1,
     progress: Callable[[int, float | None], None] | None = None,
-) -> tuple[dict[str, np.ndarray], list[dict]]:
+) -> tuple[Params, list[dict]]:
     """Run the DQN interaction loop and write logs plus checkpoints.
 
     Produces `train_log.csv` (one row per evaluation point), a checkpoint
@@ -442,7 +440,7 @@ def train(
 
     start_step = 0
     if resume_from is not None:
-        params, ckpt_arch, start_step = load_checkpoint(resume_from, expect_arch=arch)
+        params, _, start_step = load_checkpoint(resume_from, expect_arch=arch)
         if start_step >= hyper.total_timesteps:
             raise ValueError(
                 f"checkpoint is already at step {start_step} of {hyper.total_timesteps}"

@@ -167,30 +167,6 @@ def greedy_policy_report(q_table: np.ndarray, mdp: DiscreteMdp, env: AutofocusEn
     return EvalReport.from_episodes(episodes)
 
 
-def min_steps_bfs(mdp: DiscreteMdp, start_index: int) -> int | None:
-    """Fewest actions (moves plus the Terminate) to end a success episode.
-
-    Plain breadth-first search over the tabulated dynamics; None when no
-    action sequence from this start can succeed within the step budget.
-    """
-    from collections import deque
-
-    n_actions = mdp.next_state.shape[1]
-    seen = {mdp.state_id(start_index, 0)}
-    queue = deque([(mdp.state_id(start_index, 0), 0)])
-    while queue:
-        state, depth = queue.popleft()
-        for a in range(n_actions):
-            if mdp.outcome_of(state, a) is EpisodeOutcome.SUCCESS_TERMINATE:
-                return depth + 1
-            if not mdp.done[state, a]:
-                nxt = int(mdp.next_state[state, a])
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append((nxt, depth + 1))
-    return None
-
-
 # -- classical hill climb ------------------------------------------------
 
 

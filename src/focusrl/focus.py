@@ -1,13 +1,12 @@
-"""Sharpness measures and per-stack focus curves.
+"""The Tenengrad sharpness measure and per-stack focus curves.
 
-Both measures score gradient energy over the image interior only, so they
-never depend on an arbitrary border-padding convention.
+Tenengrad scores gradient energy over the image interior only, so it never
+depends on an arbitrary border-padding convention.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -15,11 +14,6 @@ import numpy as np
 if TYPE_CHECKING:  # imported for annotations only; avoids a package cycle
     from focusrl.imaging.image import Image
     from focusrl.imaging.stack import FocalStack
-
-
-class FocusMeasure(Enum):
-    TENENGRAD = "tenengrad"
-    LAPLACIAN_VARIANCE = "laplacian_variance"
 
 
 @dataclass(frozen=True)
@@ -70,34 +64,12 @@ def tenengrad(image: Image, threshold: float = 0.0) -> float:
     return float(kept.sum() / g2.size)
 
 
-def laplacian_variance(image: Image) -> float:
-    """Variance of the 4-neighbour Laplacian over interior pixels.
-
-    Exactly zero on constant and linear-ramp images, since the Laplacian
-    annihilates affine intensity fields.
-    """
-    px = image.pixels
-    if px.shape[0] < 3 or px.shape[1] < 3:
-        raise ValueError(f"laplacian_variance needs at least 3x3 pixels, got {px.shape}")
-    lap = (
-        px[:-2, 1:-1] + px[2:, 1:-1] + px[1:-1, :-2] + px[1:-1, 2:] - 4.0 * px[1:-1, 1:-1]
-    )
-    return float(lap.var())
-
-
-_MEASURES = {
-    FocusMeasure.TENENGRAD: tenengrad,
-    FocusMeasure.LAPLACIAN_VARIANCE: laplacian_variance,
-}
-
-
-def focus_curve(stack: FocalStack, measure: FocusMeasure = FocusMeasure.TENENGRAD) -> FocusCurve:
-    """Score every stored frame of a stack; a frame that positions share, once."""
+def focus_curve(stack: FocalStack) -> FocusCurve:
+    """Tenengrad of every stored frame of a stack; a frame that positions share, once."""
     if len(stack.frames) == 0:
         raise ValueError("cannot compute a focus curve for an empty stack")
-    fn = _MEASURES[FocusMeasure(measure)]
     # Images hash by identity, so each shared frame is one key.
-    scores = {frame: fn(frame) for frame in dict.fromkeys(stack.frames)}
+    scores = {frame: tenengrad(frame) for frame in dict.fromkeys(stack.frames)}
     return FocusCurve.from_values(np.array([scores[frame] for frame in stack.frames]))
 
 

@@ -14,7 +14,7 @@ channels from the env's `net_frames`; its three action codes become an
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from enum import Enum
 import json
 import math
@@ -34,6 +34,10 @@ CHECKPOINT_VERSION = 1
 class Mode(Enum):
     TRAIN = "train"  # differentiable; batch statistics unless told otherwise
     INFER = "infer"  # normalize with running statistics
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -67,6 +71,10 @@ class NetArch:
             )
         if self.kernel_size % 2 != 1:
             raise ValueError("kernel_size must be odd for same-size convolution")
+        if not (_is_real(self.bn_momentum) and 0.0 <= self.bn_momentum < 1.0):
+            raise ValueError(f"bn_momentum must be a real number in [0, 1), got {self.bn_momentum!r}")
+        if not (_is_real(self.bn_eps) and 0.0 < self.bn_eps < math.inf):
+            raise ValueError(f"bn_eps must be a finite real number > 0, got {self.bn_eps!r}")
 
     @property
     def final_map_size(self) -> int:
@@ -137,32 +145,56 @@ def _he_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -
     return rng.uniform(-limit, limit, size=shape)
 
 
-def init_params(arch: NetArch, rng: np.random.Generator, dtype=np.float32) -> dict[str, np.ndarray]:
+class Params(dict):
+    """Every array of the network, as named views of one flat vector.
+
+    `flat` holds the arrays back to back in `param_spec` order, so a copy,
+    an optimizer step or a checkpoint's data is one operation on it;
+    `params[name]` is the array reshaped from its slice.  Assign through a
+    view (`params[name][...] = ...`): rebinding a name detaches it.
+    """
+
+    def __init__(self, arch: NetArch, flat: np.ndarray):
+        if flat.shape != (param_size(arch),):
+            raise ValueError(
+                f"expected a flat vector of {param_size(arch)} values, got shape {flat.shape}"
+            )
+        super().__init__()
+        start = 0
+        for name, shape, _ in param_spec(arch):
+            size = math.prod(shape)
+            self[name] = flat[start : start + size].reshape(shape)
+            start += size
+        self.arch = arch
+        self.flat = flat
+
+
+def param_size(arch: NetArch) -> int:
+    """Scalars in a `Params`, running statistics included."""
+    return sum(math.prod(shape) for _, shape, _ in param_spec(arch))
+
+
+def init_params(arch: NetArch, rng: np.random.Generator, dtype=np.float32) -> Params:
     """Fan-in He-uniform weights, zero biases, identity batch norm."""
     k = arch.kernel_size
-    params: dict[str, np.ndarray] = {}
-    for name, shape, _ in param_spec(arch):
+    params = Params(arch, np.zeros(param_size(arch), dtype))
+    for name, arr in params.items():
+        shape = arr.shape
         if name.endswith("_w") and name.startswith("conv"):
-            fan_in = shape[1] * k * k
-            arr = _he_uniform(rng, shape, fan_in)
+            arr[...] = _he_uniform(rng, shape, shape[1] * k * k)
         elif name == "reduce_w":
-            arr = _he_uniform(rng, shape, shape[1])
-        elif name == "embed_w":
-            arr = _he_uniform(rng, shape, shape[0])
+            arr[...] = _he_uniform(rng, shape, shape[1])
         elif name.endswith("_w"):
-            arr = _he_uniform(rng, shape, shape[0])
+            arr[...] = _he_uniform(rng, shape, shape[0])
         elif name.endswith("_gamma") or name.endswith("_rvar"):
-            arr = np.ones(shape)
-        else:
-            arr = np.zeros(shape)
-        params[name] = arr.astype(dtype)
+            arr[...] = 1.0
     # Padding-code rows stay at zero forever; their gradients are masked.
     params["embed_w"][list(arch.null_slots), :] = 0.0
     return params
 
 
-def copy_params(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    return {name: arr.copy() for name, arr in params.items()}
+def copy_params(params: Params) -> Params:
+    return Params(params.arch, params.flat.copy())
 
 
 # -- layer primitives ----------------------------------------------------
@@ -549,38 +581,40 @@ def forward_batch(
 
 
 def backward_batch(
-    params: dict[str, np.ndarray],
+    params: Params,
     arch: NetArch,
     cache: dict,
     dq: np.ndarray,
-) -> dict[str, np.ndarray]:
-    """Gradients of every learnable parameter given dL/dq.
+) -> Params:
+    """Gradients given dL/dq, as a `Params` over a fresh zero vector.
 
-    `cache` must come from the latest forward, TRAIN or INFER: a later one
-    overwrites the buffers it points into, so a stale cache raises
-    RuntimeError.  The backward then reuses those buffers in turn.
+    The slots of the running statistics and of the padding-code embedding
+    rows hold 0.  `cache` must come from the latest forward, TRAIN or
+    INFER: a later one overwrites the buffers it points into, so a stale
+    cache raises RuntimeError.  The backward then reuses those buffers in
+    turn.
     """
     if cache["pass"] != _WS.passes:
         raise RuntimeError(
             "stale forward cache: a later forward reused its buffers; "
             "run the forward pass again before backward_batch"
         )
-    grads: dict[str, np.ndarray] = {}
+    grads = Params(arch, np.zeros_like(params.flat))
 
-    grads["head_w"] = cache["h2"].T @ dq
-    grads["head_b"] = dq.sum(axis=0)
+    grads["head_w"][...] = cache["h2"].T @ dq
+    grads["head_b"][...] = dq.sum(axis=0)
     dh2 = (dq @ params["head_w"].T) * cache["h2_mask"]
-    grads["fc2_w"] = cache["h1"].T @ dh2
-    grads["fc2_b"] = dh2.sum(axis=0)
+    grads["fc2_w"][...] = cache["h1"].T @ dh2
+    grads["fc2_b"][...] = dh2.sum(axis=0)
     dh1 = (dh2 @ params["fc2_w"].T) * cache["h1_mask"]
-    grads["fc1_w"] = cache["feat"].T @ dh1
-    grads["fc1_b"] = dh1.sum(axis=0)
+    grads["fc1_w"][...] = cache["feat"].T @ dh1
+    grads["fc1_b"][...] = dh1.sum(axis=0)
     dfeat = dh1 @ params["fc1_w"].T
 
     dv_img = dfeat[:, : arch.image_feature_len]
     dv_act = dfeat[:, arch.image_feature_len :]
 
-    grads["embed_w"] = cache["onehot"].T @ dv_act
+    grads["embed_w"][...] = cache["onehot"].T @ dv_act
     grads["embed_w"][list(arch.null_slots), :] = 0.0  # padding rows never move
 
     b = dq.shape[0]
@@ -589,15 +623,15 @@ def backward_batch(
         dv_img.reshape(b, arch.reduce_channels, m * m).transpose(1, 0, 2)
     ).reshape(arch.reduce_channels, b * m * m)
     dred *= cache["red_mask"]
-    grads["reduce_w"] = dred @ cache["xm"].T
-    grads["reduce_b"] = dred.sum(axis=1)
+    grads["reduce_w"][...] = dred @ cache["xm"].T
+    grads["reduce_b"][...] = dred.sum(axis=1)
     dout = (params["reduce_w"].T @ dred).reshape(arch.conv_channels[-1], b, m, m)
 
     for i in range(4, 0, -1):
         drelu = _pool_backward(dout, cache["pool"][i - 1], role=f"stage{i}")
         dconv, dgamma, dbeta = _bn_backward(drelu, cache["bn"][i - 1])
-        grads[f"bn{i}_gamma"] = dgamma
-        grads[f"bn{i}_beta"] = dbeta
+        grads[f"bn{i}_gamma"][...] = dgamma
+        grads[f"bn{i}_beta"][...] = dbeta
         dout, dw = _conv_backward(
             dconv,
             cache["cols"][i - 1],
@@ -606,7 +640,7 @@ def backward_batch(
             need_dx=(i > 1),
             role=f"stage{i}",
         )
-        grads[f"conv{i}_w"] = dw
+        grads[f"conv{i}_w"][...] = dw
     return grads
 
 
@@ -745,15 +779,18 @@ def atomic_open(path: str | Path, mode: str, **kwargs):
         tmp.unlink(missing_ok=True)
 
 
-def save_checkpoint(path: str | Path, params: dict[str, np.ndarray], arch: NetArch, step: int) -> None:
-    """Magic, header length, JSON header, then flat little-endian float32."""
-    names = [name for name, _, _ in param_spec(arch)]
+def save_checkpoint(path: str | Path, params: Params, arch: NetArch, step: int) -> None:
+    """Magic, header length, JSON header, then `params.flat` as little-endian float32.
+
+    The header's `arrays` manifest names each array of the data section in
+    `param_spec` order.
+    """
     header = {
         "version": CHECKPOINT_VERSION,
         "arch": arch.to_dict(),
         "step": int(step),
         "arrays": [
-            {"name": name, "shape": list(params[name].shape)} for name in names
+            {"name": name, "shape": list(params[name].shape)} for name, _, _ in param_spec(arch)
         ],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -761,8 +798,7 @@ def save_checkpoint(path: str | Path, params: dict[str, np.ndarray], arch: NetAr
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        for name in names:
-            fh.write(np.ascontiguousarray(params[name], dtype="<f4").tobytes())
+        fh.write(params.flat.astype("<f4", copy=False))  # no copy on a little-endian host
 
 
 def _is_array_entry(entry) -> bool:
@@ -775,8 +811,12 @@ def _is_array_entry(entry) -> bool:
     )
 
 
-def load_checkpoint(path: str | Path, expect_arch: NetArch | None = None) -> tuple[dict[str, np.ndarray], NetArch, int]:
-    """Read a `save_checkpoint` file; a malformed one raises ValueError."""
+def load_checkpoint(path: str | Path, expect_arch: NetArch | None = None) -> tuple[Params, NetArch, int]:
+    """Read a `save_checkpoint` file into one float32 vector.
+
+    A malformed file raises ValueError, and so does a manifest that lists
+    other arrays, or the same ones in another order, than `param_spec`.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
@@ -816,18 +856,13 @@ def load_checkpoint(path: str | Path, expect_arch: NetArch | None = None) -> tup
                 f"{path}: checkpoint arrays must be a list of entries with a string name "
                 "and a list of non-negative integer shape"
             )
-        manifest = {entry["name"]: tuple(entry["shape"]) for entry in arrays}
-        expected = {name: shape for name, shape, _ in param_spec(arch)}
-        if len(manifest) != len(arrays) or manifest != expected:
+        manifest = [(entry["name"], tuple(entry["shape"])) for entry in arrays]
+        if manifest != [(name, shape) for name, shape, _ in param_spec(arch)]:
             raise ValueError(f"{path}: array manifest does not match the declared architecture")
-        params: dict[str, np.ndarray] = {}
-        for name, shape in manifest.items():
-            count = int(np.prod(shape)) if shape else 1
-            data = fh.read(count * 4)
-            if len(data) != count * 4:
-                raise ValueError(f"{path}: truncated checkpoint data at {name}")
-            params[name] = np.frombuffer(data, dtype="<f4").reshape(shape).astype(np.float32)
+        flat = np.empty(param_size(arch), dtype="<f4")
+        if fh.readinto(flat) != flat.nbytes:
+            raise ValueError(f"{path}: truncated checkpoint data")
         extra = fh.read(1)
         if extra:
             raise ValueError(f"{path}: trailing bytes after the last array")
-    return params, arch, step
+    return Params(arch, flat.astype(np.float32, copy=False)), arch, step

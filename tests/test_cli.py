@@ -343,13 +343,19 @@ class TestEval:
             lambda h: h["arrays"][0].update(shape=[-1, 2]),
             lambda h: h["arrays"][0].update(shape=[2.0, 3, 5, 5]),
             lambda h: h["arrays"].append(h["arrays"][0]),
+            lambda h: h["arrays"].reverse(),
+            lambda h: h["arch"].update(bn_eps="x"),
+            lambda h: h["arch"].update(bn_eps=-1.0),
+            lambda h: h["arch"].update(bn_momentum="0.99"),
+            lambda h: h["arch"].update(bn_momentum=1.5),
         ],
         ids=[
             "arch_unknown_key", "arch_bad_channels", "arch_float_size", "arch_not_object",
             "step_negative", "step_string", "step_float", "step_bool",
             "arrays_not_list", "entry_without_shape", "entry_without_name",
             "name_not_string", "shape_not_list", "negative_dim", "float_dim",
-            "duplicate_entry",
+            "duplicate_entry", "reordered_entries", "bn_eps_string", "bn_eps_negative",
+            "bn_momentum_string", "bn_momentum_above_one",
         ],
     )
     def test_malformed_header_values_are_clean_errors(

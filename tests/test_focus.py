@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from focusrl import focus
-from focusrl.focus import (
-    FocusCurve,
-    FocusMeasure,
-    focus_curve,
-    laplacian_variance,
-    normalize,
-    tenengrad,
-)
+from focusrl.focus import FocusCurve, focus_curve, normalize, tenengrad
 from focusrl.imaging import Image, defocus_blur, generate_stack
 
 
@@ -43,23 +36,6 @@ class TestTenengrad:
             tenengrad(Image(np.zeros((3, 3))), threshold=-1.0)
 
 
-class TestLaplacianVariance:
-    def test_constant_image_is_zero(self):
-        assert laplacian_variance(Image(np.full((4, 6), 0.3))) == 0.0
-
-    def test_linear_ramp_is_zero(self):
-        ramp = np.linspace(0.0, 1.0, 8)[None, :] * np.ones((8, 1))
-        assert laplacian_variance(Image(ramp)) == pytest.approx(0.0, abs=1e-24)
-
-    def test_sharp_scene_beats_blurred(self, small_scene):
-        x = small_scene.content
-        assert laplacian_variance(x) > laplacian_variance(defocus_blur(x, 2.0))
-
-    def test_rejects_undersized_image(self):
-        with pytest.raises(ValueError):
-            laplacian_variance(Image(np.zeros((3, 2))))
-
-
 class TestFocusCurve:
     def test_single_image_stack(self, small_scene):
         stack = generate_stack(
@@ -73,11 +49,9 @@ class TestFocusCurve:
         assert curve.max_value == 5.0
         assert len(focus_curve(stack).values) == 2
 
-    @pytest.mark.parametrize("measure", [tenengrad, laplacian_variance])
-    def test_equals_scoring_every_frame(self, tiny_stack, measure):
-        by_frame = np.array([measure(frame) for frame in tiny_stack.frames])
-        curve = focus_curve(tiny_stack, FocusMeasure(measure.__name__))
-        assert curve.values.tobytes() == by_frame.tobytes()
+    def test_equals_scoring_every_frame(self, tiny_stack):
+        by_frame = np.array([tenengrad(frame) for frame in tiny_stack.frames])
+        assert focus_curve(tiny_stack).values.tobytes() == by_frame.tobytes()
 
     def test_shared_frames_scored_once(self, tiny_stack, monkeypatch):
         scored = []
@@ -86,7 +60,7 @@ class TestFocusCurve:
             scored.append(frame)
             return tenengrad(frame)
 
-        monkeypatch.setitem(focus._MEASURES, FocusMeasure.TENENGRAD, counting)
+        monkeypatch.setattr(focus, "tenengrad", counting)
         focus_curve(tiny_stack)
         distinct = {id(frame) for frame in tiny_stack.frames}
         assert len(scored) == len(distinct) < len(tiny_stack)
@@ -94,12 +68,6 @@ class TestFocusCurve:
     def test_argmax_at_sharpest_index(self, tiny_stack):
         curve = focus_curve(tiny_stack)
         assert curve.argmax_index == tiny_stack.sharpest_index
-
-    def test_measure_selection(self, tiny_stack):
-        ten = focus_curve(tiny_stack, FocusMeasure.TENENGRAD)
-        lap = focus_curve(tiny_stack, FocusMeasure.LAPLACIAN_VARIANCE)
-        assert ten.argmax_index == lap.argmax_index
-        assert not np.allclose(ten.values, lap.values)
 
     def test_normalized_curve_has_exactly_one_unit_value(self, tiny_stack):
         norm = normalize(focus_curve(tiny_stack))
@@ -150,6 +118,5 @@ class TestTranslationInvariance:
 
         scene = render_scene(seed=1, width=256, height=256)
         padded = Image(np.pad(scene.content.pixels, 5, mode="edge"))
-        for fn in (tenengrad, laplacian_variance):
-            a, b = fn(scene.content), fn(padded)
-            assert abs(a - b) / a < 0.05
+        a, b = tenengrad(scene.content), tenengrad(padded)
+        assert abs(a - b) / a < 0.05

@@ -2,6 +2,7 @@
 
 import dataclasses
 from pathlib import Path
+import struct
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from focusrl.net import (
     REDUCED_CHECK_ARCH,
     Mode,
     NetArch,
+    Params,
     backward_batch,
     copy_params,
     count_macs,
@@ -69,6 +71,21 @@ class TestNetArch:
         with pytest.raises(ValueError):
             NetArch(conv_channels=(8, 16, 32))
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("bn_momentum", "0.99"), ("bn_momentum", 1.5), ("bn_momentum", 1.0),
+         ("bn_momentum", -0.1), ("bn_momentum", True), ("bn_momentum", float("nan")),
+         ("bn_eps", "x"), ("bn_eps", -1.0), ("bn_eps", 0.0), ("bn_eps", True),
+         ("bn_eps", float("inf"))],
+    )
+    def test_rejects_bad_batch_norm_constants(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            NetArch(**{field: value})
+
+    def test_accepts_batch_norm_constants_at_their_bounds(self):
+        assert NetArch(bn_momentum=0, bn_eps=1).bn_eps == 1
+        assert NetArch(bn_momentum=np.float64(0.5)).bn_momentum == 0.5
+
     def test_round_trip_dict(self):
         arch = NetArch(input_size=32)
         assert NetArch.from_dict(arch.to_dict()) == arch
@@ -113,6 +130,29 @@ class TestInitParams:
         assert set(spec) == set(params)
         for name, arr in params.items():
             assert arr.shape == spec[name]
+
+
+class TestParams:
+    def test_views_share_one_vector_in_spec_order(self, rng):
+        params = init_params(SMALL, rng)
+        assert list(params) == [name for name, _, _ in param_spec(SMALL)]
+        start = 0
+        for name, shape, _ in param_spec(SMALL):
+            view = params[name]
+            assert view.shape == shape and np.shares_memory(view, params.flat)
+            offset = view.__array_interface__["data"][0] - params.flat.__array_interface__["data"][0]
+            assert offset == start * params.flat.itemsize, name
+            start += view.size
+        assert params.flat.shape == (start,)
+        params.flat[:] = np.arange(start)
+        assert params["head_b"][-1] == start - 1
+
+    def test_rejects_a_vector_of_another_size(self, rng):
+        flat = init_params(SMALL, rng).flat
+        with pytest.raises(ValueError, match="flat vector"):
+            Params(SMALL, flat[:-1])
+        with pytest.raises(ValueError, match="flat vector"):
+            Params(SMALL, flat.reshape(1, -1))
 
 
 class TestForward:
@@ -635,14 +675,37 @@ class TestCheckpoint:
         path = tmp_path / "ckpt"
         save_checkpoint(path, params, SMALL, step=1)
         before = path.read_bytes()
-        # The last array cannot convert to float32, so the write fails after
-        # the header and the other arrays are out.
-        last = list(params)[-1]
-        broken = dict(params, **{last: np.full(params[last].shape, "x")})
+        # The vector cannot convert to float32, so the write fails after
+        # the header is out.
+        broken = Params(SMALL, np.full(params.flat.shape, "x"))
         with pytest.raises(ValueError):
             save_checkpoint(path, broken, SMALL, step=2)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
+
+    def test_data_section_is_the_flat_vector(self, tmp_path, rng):
+        params = init_params(SMALL, rng)
+        path = tmp_path / "ckpt"
+        save_checkpoint(path, params, SMALL, step=1)
+        data = path.read_bytes()
+        (header_len,) = struct.unpack("<I", data[4:8])
+        assert data[8 + header_len :] == params.flat.astype("<f4").tobytes()
+
+    def test_loads_views_of_one_vector(self, tmp_path, rng):
+        params = init_params(SMALL, rng)
+        save_checkpoint(tmp_path / "ckpt", params, SMALL, step=1)
+        loaded, _, _ = load_checkpoint(tmp_path / "ckpt")
+        assert isinstance(loaded, Params) and loaded.arch == SMALL
+        assert loaded.flat.dtype == np.float32 and loaded.flat.flags.writeable
+        assert all(np.shares_memory(view, loaded.flat) for view in loaded.values())
+        assert loaded.flat.tobytes() == params.flat.tobytes()
+
+    def test_rejects_trailing_bytes(self, tmp_path, rng):
+        path = tmp_path / "ckpt"
+        save_checkpoint(path, init_params(SMALL, rng), SMALL, step=1)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(ValueError, match="trailing"):
+            load_checkpoint(path)
 
     def test_rewrite_reproduces_committed_bytes(self, tmp_path):
         committed = Path(__file__).parents[1] / "artifacts" / "tiny_s7" / "ckpt_20000"
