@@ -405,9 +405,23 @@ def run_episode(
 def evaluate(params: dict[str, np.ndarray], arch: NetArch, env: AutofocusEnv) -> EvalReport:
     """Pure-greedy evaluation: one episode from every stack index, in order.
 
+    One forward per distinct network input: states whose positions have
+    equal `env.frame_ids` and whose action codes are equal feed the net the
+    same bytes, so their greedy action is chosen once per call and reused.
     Never touches parameters or running statistics.
     """
-    policy = greedy_policy(params, arch, env.net_frames)
+    greedy = greedy_policy(params, arch, env.net_frames)
+    ids = env.frame_ids
+    chosen: dict[tuple[int, ...], Action] = {}
+
+    def policy(state: StateSeq) -> Action:
+        (p0, p1, p2), codes = state
+        key = (ids[p0], ids[p1], ids[p2], *codes)
+        action = chosen.get(key)
+        if action is None:
+            action = chosen[key] = greedy(state)
+        return action
+
     return EvalReport.from_episodes(
         [run_episode(env, policy, start) for start in range(env.n_positions)]
     )

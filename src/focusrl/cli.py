@@ -318,6 +318,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             "seed": seed,
             "stack_view": stack.view_id,
             "positions": len(stack),
+            "distinct_frames": len(set(env.frame_ids)),
             "net": arch.to_dict(),
             "params": count_params(arch),
             "macs": count_macs(arch),

@@ -9,7 +9,8 @@ steps).
 
 A state is six integers: the last three stack positions and the action
 codes that led to them.  The env holds the network input of every position
-as one read-only `net_frames` array, so a state names its frames by row.
+as one read-only `net_frames` array, so a state names its frames by row,
+and `frame_ids` names each row by the first row with the same bytes.
 """
 
 from __future__ import annotations
@@ -143,14 +144,15 @@ class AutofocusEnv:
     """Stateful episode runner; one instance drives one episode at a time.
 
     `copy.copy(env)` gives a second runner over the same frames: `net_frames`
-    is read-only, and every episode field is an immutable value that
-    `reset_at` and `step` rebind, so neither copy's episodes touch the other.
+    is read-only, `frame_ids` is a tuple, and every episode field is an
+    immutable value that `reset_at` and `step` rebind, so neither copy's
+    episodes touch the other.
     """
 
     # Without slots, `copy.copy` reads the instance `__dict__`, and on CPython
     # 3.11 every later attribute read of the original, in `step` too, is slower.
     __slots__ = ("cfg", "normalized_curve", "n_positions", "_index_steps", "net_frames",
-                 "_index", "_steps", "_outcome", "_state")
+                 "frame_ids", "_index", "_steps", "_outcome", "_state")
 
     def __init__(self, cfg: EnvConfig):
         self.cfg = cfg
@@ -177,6 +179,11 @@ class AutofocusEnv:
             row = first_row.setdefault(frame, i)
             frames[i] = frames[row] if row < i else resize_bilinear(frame, size, size).pixels
         frames.flags.writeable = False
+        # Mirrored positions can differ in the last bits of σ yet resize to
+        # the same bytes; ids follow the bytes, so equal ids mean equal input.
+        first_id: dict[bytes, int] = {}
+        self.frame_ids = tuple(first_id.setdefault(row.tobytes(), i)
+                               for i, row in enumerate(frames))
         self._index = 0
         self._steps = 0
         self._outcome = EpisodeOutcome.RUNNING

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from pathlib import Path
 import tracemalloc
 
 import numpy as np
@@ -51,6 +52,8 @@ from focusrl.net import (
 )
 
 ARCH = REDUCED_CHECK_ARCH
+COMMITTED_TINY = [Path(__file__).parents[1] / "artifacts" / f"tiny_s{seed}" / "ckpt_20000"
+                  for seed in (7, 8, 9)]
 
 
 @pytest.fixture
@@ -697,7 +700,59 @@ class TestEvalReport:
             )
 
 
+def _frame_key(env, state):
+    """The network input a state names: its positions' frame ids, then its codes."""
+    return (*(env.frame_ids[p] for p in state.positions), *state.action_codes)
+
+
+def _unmemoized_evaluate(params, arch, env, visited=None):
+    """Reference evaluation: one batch-1 forward at every step of every episode.
+
+    Appends the frame key of each state it scores to `visited` when given.
+    """
+    episodes = []
+    for start in range(env.n_positions):
+        state = env.reset_at(start)
+        while not env.done:
+            if visited is not None:
+                visited.append(_frame_key(env, state))
+            x, onehot = states_to_batch([state], env.net_frames, arch)
+            q, _ = forward_batch(params, arch, x, onehot, Mode.INFER)
+            state = env.step(Action(int(np.argmax(q[0])))).next_state
+        episodes.append(
+            (env.outcome, env.steps_taken, float(env.normalized_curve[env.position_index]))
+        )
+    return EvalReport.from_episodes(episodes)
+
+
 class TestEvaluate:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_random_params_match_one_forward_per_step(self, env16, seed):
+        params = init_params(ARCH, np.random.default_rng(seed))
+        assert evaluate(params, ARCH, env16) == _unmemoized_evaluate(params, ARCH, env16)
+
+    @pytest.mark.parametrize("ckpt", COMMITTED_TINY, ids=lambda p: p.parent.name)
+    def test_committed_checkpoints_match_one_forward_per_step(self, tiny_env, ckpt):
+        params, arch, _ = load_checkpoint(ckpt)
+        assert evaluate(params, arch, tiny_env) == _unmemoized_evaluate(params, arch, tiny_env)
+
+    @pytest.mark.parametrize("ckpt", COMMITTED_TINY, ids=lambda p: p.parent.name)
+    def test_one_forward_per_distinct_input(self, tiny_env, ckpt, monkeypatch):
+        params, arch, _ = load_checkpoint(ckpt)
+        visited = []
+        _unmemoized_evaluate(params, arch, tiny_env, visited)
+        forwards = []
+        real_forward = agent_module.forward_batch
+
+        def counted(*args, **kwargs):
+            forwards.append(args[2].shape[0])
+            return real_forward(*args, **kwargs)
+
+        monkeypatch.setattr(agent_module, "forward_batch", counted)
+        evaluate(params, arch, tiny_env)
+        assert forwards == [1] * len(set(visited))
+        assert len(set(visited)) < len(visited)
+
     def test_always_terminate_accuracy_is_region_fraction(self, env16):
         params = _pinned_q_params([0.0, 0.0, 1.0, 0.0, 0.0])
         report = evaluate(params, ARCH, env16)

@@ -207,10 +207,13 @@ class TestTrain:
         assert lines[0] == "timestep,loss,epsilon,eval_accuracy,eval_avg_steps"
         assert [row.split(",")[0] for row in lines[1:]] == ["100", "200", "300"]
 
-    def test_run_meta_records_arch_and_counts(self, mini_run):
+    def test_run_meta_records_arch_and_counts(self, mini_config, mini_run):
         meta = json.loads((mini_run / "run_meta.json").read_text(encoding="utf-8"))
         assert meta["seed"] == 5
         assert meta["positions"] == 21
+        config, _ = load_config(mini_config)
+        env = AutofocusEnv(config.env_config(config.stack.build()))
+        assert meta["distinct_frames"] == len(set(env.frame_ids)) < meta["positions"]
         assert meta["net"]["conv_channels"] == [2, 2, 2, 2]
         assert meta["params"] > 0 and meta["macs"] > 0
         assert meta["elapsed_seconds"] > 0

@@ -165,6 +165,25 @@ class TestReset:
         AutofocusEnv(_cfg(tiny_stack))
         assert sorted(calls) == sorted({id(frame) for frame in tiny_stack.frames})
 
+    @pytest.mark.parametrize("which,size", [("tiny_stack", 32), ("exp1_stack", 64)])
+    def test_frame_ids_name_the_first_row_with_equal_bytes(self, request, which, size):
+        env = AutofocusEnv(EnvConfig(stack=request.getfixturevalue(which), net_input_size=size))
+        ids = env.frame_ids
+        assert isinstance(ids, tuple) and len(ids) == env.n_positions
+        rows = [row.tobytes() for row in env.net_frames]
+        for i in range(env.n_positions):
+            assert ids[i] <= i and ids[ids[i]] == ids[i]
+            for j in range(env.n_positions):
+                assert (ids[i] == ids[j]) == (rows[i] == rows[j]), (i, j)
+
+    def test_tiny_preset_frame_ids(self, tiny_env, tiny_stack):
+        # Mirrored positions and the sharpest position's two neighbours
+        # resize to the same net frame as their partners.
+        ids = tiny_env.frame_ids
+        assert len(set(ids)) == 12
+        assert tiny_stack.sharpest_index == 8
+        assert ids[7] == ids[8] == ids[9] == 7
+
     def test_copy_shares_frames_not_episodes(self, tiny_env):
         original = tiny_env
         original.reset_at(5)
@@ -172,6 +191,7 @@ class TestReset:
         before = (original.position_index, original.steps_taken, original.outcome)
         twin = copy.copy(original)
         assert twin.net_frames is original.net_frames
+        assert twin.frame_ids is original.frame_ids
         # Slots: copying reads no instance dict, which would slow the original.
         assert not hasattr(original, "__dict__")
         twin.reset_at(0)
