@@ -17,6 +17,7 @@ import copy
 import csv
 from dataclasses import dataclass
 import json
+import math
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -54,9 +55,6 @@ class Hyperparams:
     replay_capacity: int = 10_000
     batch_size: int = 32
     learning_rate: float = 1e-4
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     target_sync: int = 1_000
     learn_start: int = 1_000
     eval_interval: int = 1_000
@@ -68,6 +66,8 @@ class Hyperparams:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
         if not 0.0 < self.epsilon_fraction <= 1.0:
             raise ValueError(f"epsilon_fraction must be in (0, 1], got {self.epsilon_fraction}")
         if self.replay_capacity < self.batch_size:
@@ -298,10 +298,7 @@ def train_step(
         targets[boot] += gamma * values
 
     x, onehot = states_to_batch(batch.states, frames, arch)
-    q, fwd_cache = forward_batch(
-        params, arch, x, onehot, Mode.TRAIN, update_running=True, want_cache=True,
-        batch_stats=False,
-    )
+    q, fwd_cache = forward_batch(params, arch, x, onehot, Mode.TRAIN)
     rows = np.arange(n)
     diff = q[rows, batch.actions].astype(np.float64) - targets
     loss = float(np.mean(diff * diff))
@@ -463,7 +460,7 @@ def train(
         params = init_params(arch, rng)
     target_params = copy_params(params)
     target_cache = TargetValueCache()
-    optimizer = Adam(hyper.learning_rate, hyper.adam_beta1, hyper.adam_beta2, hyper.adam_eps)
+    optimizer = Adam(hyper.learning_rate)
     buffer = ReplayBuffer(hyper.replay_capacity)
     eval_env = copy.copy(env)
 

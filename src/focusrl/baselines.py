@@ -27,12 +27,7 @@ from focusrl.focus import FocusCurve
 from focusrl.focus import focus_curve  # noqa: F401  (unused; perfbench's tracer patches this name)
 from focusrl.imaging import FocalStack
 
-TERMINAL_OUTCOMES = (
-    EpisodeOutcome.SUCCESS_TERMINATE,
-    EpisodeOutcome.FAIL_TERMINATE_BLUR,
-    EpisodeOutcome.FAIL_OUT_OF_RANGE,
-    EpisodeOutcome.FAIL_MAX_STEPS,
-)
+TERMINAL_OUTCOMES = tuple(outcome for outcome in EpisodeOutcome if outcome.is_terminal)
 
 
 @dataclass(frozen=True)

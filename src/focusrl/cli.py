@@ -149,7 +149,9 @@ class RunConfig:
             raise ConfigError("config needs a 'seed'")
         if "stack" not in doc:
             raise ConfigError("config needs a 'stack' section")
-        env = _dataclass_kwargs(doc.get("env", {}), EnvConfig, "env", skip={"stack"})
+        # The env renders at the net's input size, `net.input_size`.
+        env = _dataclass_kwargs(doc.get("env", {}), EnvConfig, "env",
+                                skip={"stack", "net_input_size"})
         net = _dataclass_kwargs(doc.get("net", {}), NetArch, "net")
         train = _dataclass_kwargs(doc.get("train", {}), agent.Hyperparams, "train")
         tests = {
@@ -166,19 +168,10 @@ class RunConfig:
         )
 
     def env_config(self, stack: FocalStack) -> EnvConfig:
-        return EnvConfig(stack=stack, **self.env)
+        return EnvConfig(stack=stack, net_input_size=self.net_arch().input_size, **self.env)
 
     def net_arch(self) -> NetArch:
-        net = dict(self.net)
-        input_size = self.env.get("net_input_size", EnvConfig.__dataclass_fields__[
-            "net_input_size"].default)
-        net.setdefault("input_size", input_size)
-        arch = NetArch(**{k: tuple(v) if isinstance(v, list) else v for k, v in net.items()})
-        if arch.input_size != input_size:
-            raise ConfigError(
-                f"net input_size {arch.input_size} does not match env net_input_size {input_size}"
-            )
-        return arch
+        return NetArch(**{k: tuple(v) if isinstance(v, list) else v for k, v in self.net.items()})
 
     def hyperparams(self) -> agent.Hyperparams:
         if "total_timesteps" not in self.train:
@@ -364,12 +357,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     config, _ = load_config(args.config)
     params, arch, step = load_checkpoint(args.ckpt)
     stack = _resolve_stack(args, config)
-    cfg = config.env_config(stack)
-    if cfg.net_input_size != arch.input_size:
-        raise ConfigError(
-            f"checkpoint expects {arch.input_size}px inputs, env delivers {cfg.net_input_size}px"
-        )
-    env = AutofocusEnv(cfg)
+    # Frames at the size the checkpoint was trained on, whatever the config's net.
+    env = AutofocusEnv(EnvConfig(stack=stack, net_input_size=arch.input_size, **config.env))
     report = agent.evaluate(params, arch, env)
     payload = report.to_dict()
     payload["checkpoint_step"] = step

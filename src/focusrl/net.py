@@ -21,19 +21,22 @@ import math
 import os
 from pathlib import Path
 import struct
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
-from focusrl.env import ACTION_HISTORY, NULL_ACTION_CODE
+from focusrl.env import ACTION_HISTORY, NULL_ACTION_CODE, Action
 
 CHECKPOINT_MAGIC = b"FRLQ"
 CHECKPOINT_VERSION = 1
 
 
 class Mode(Enum):
-    TRAIN = "train"  # differentiable; batch statistics unless told otherwise
-    INFER = "infer"  # normalize with running statistics
+    """How `forward_batch` normalizes, and whether it returns a backward cache."""
+
+    INFER = "infer"  # running statistics folded into the conv weights; no cache
+    TRAIN = "train"  # batch renormalization; updates the running statistics
+    BATCH_STATS = "batch_stats"  # plain batch norm, running statistics untouched
 
 
 def _is_real(value) -> bool:
@@ -42,7 +45,16 @@ def _is_real(value) -> bool:
 
 @dataclass(frozen=True)
 class NetArch:
-    """Shape of the Q-network.  The default is the reference configuration."""
+    """Shape of the Q-network.  The default is the reference configuration.
+
+    The env fixes the history, the action codes (five actions and the
+    padding code) and so the outputs; they are constants, not fields.
+    """
+
+    history: ClassVar[int] = ACTION_HISTORY
+    action_vocab: ClassVar[int] = NULL_ACTION_CODE + 1
+    n_actions: ClassVar[int] = len(Action)
+    _FIXED: ClassVar[tuple[str, ...]] = ("history", "action_vocab", "n_actions")
 
     input_size: int = 64
     conv_channels: tuple[int, int, int, int] = (8, 16, 32, 64)
@@ -50,9 +62,6 @@ class NetArch:
     embed_dim: int = 512
     fc_width: int = 256
     kernel_size: int = 5
-    history: int = ACTION_HISTORY
-    action_vocab: int = NULL_ACTION_CODE + 1
-    n_actions: int = 5
     bn_momentum: float = 0.99
     bn_eps: float = 1e-5
 
@@ -61,7 +70,7 @@ class NetArch:
             raise ValueError("expected exactly four conv stages")
         sizes = (
             self.input_size, *self.conv_channels, self.reduce_channels, self.embed_dim,
-            self.fc_width, self.kernel_size, self.history, self.action_vocab, self.n_actions,
+            self.fc_width, self.kernel_size,
         )
         if any(type(size) is not int or size < 1 for size in sizes):
             raise ValueError(f"sizes and counts must be positive integers, got {sizes}")
@@ -101,11 +110,17 @@ class NetArch:
         )
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "conv_channels": list(self.conv_channels)}
+        """The fields plus the fixed sizes, which checkpoint headers record."""
+        fixed = {name: getattr(self, name) for name in self._FIXED}
+        return {**asdict(self), "conv_channels": list(self.conv_channels), **fixed}
 
     @classmethod
     def from_dict(cls, data: dict) -> "NetArch":
         data = dict(data)
+        for name in cls._FIXED:
+            value = data.pop(name)
+            if type(value) is not int or value != getattr(cls, name):
+                raise ValueError(f"{name} is fixed at {getattr(cls, name)}, got {value!r}")
         data["conv_channels"] = tuple(data["conv_channels"])
         return cls(**data)
 
@@ -331,12 +346,13 @@ def _bn_forward(
     rvar: np.ndarray,
     momentum: float,
     eps: float,
-    update_running: bool,
-    batch_stats: bool = True,
+    renorm: bool,
     role: str = "bn",
 ) -> tuple[np.ndarray, dict]:
-    """Batch norm of a TRAIN pass; INFER folds it into the conv weights.
+    """Batch norm of a differentiable pass; INFER folds it into the conv weights.
 
+    With `renorm`, batch renormalization that then updates the running
+    statistics; without, plain batch norm that leaves them alone.
     Overwrites `x` with the output: the input is dead once centred.
     """
     bc = (slice(None), None, None, None)  # broadcast per-channel over (C, B, H, W)
@@ -353,25 +369,23 @@ def _bn_forward(
     var /= x[0].size
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat *= inv_std[bc]
-    renorm = None
-    if batch_stats:
+    if not renorm:
         np.multiply(xhat, gamma[bc], out=out)
         out += beta[bc]
-    else:
-        # Batch renormalization without clipping: r * xhat + d is x
-        # normalized by the running statistics (as they were before this
-        # batch's update), and r, d are constants of the backward pass.
-        inv_std_run = 1.0 / np.sqrt(rvar + eps)
-        renorm = (inv_std_run / inv_std, (mean - rmean) * inv_std_run)
-        np.multiply(xhat, (gamma * renorm[0])[bc], out=out)
-        out += (beta + gamma * renorm[1])[bc]
-        inv_std = inv_std_run  # dx scales by r * inv_std, which is this
-    if update_running:
-        rmean *= momentum
-        rmean += (1.0 - momentum) * mean
-        rvar *= momentum
-        rvar += (1.0 - momentum) * var
-    return out, {"xhat": xhat, "inv_std": inv_std, "gamma": gamma, "renorm": renorm}
+        return out, {"xhat": xhat, "inv_std": inv_std, "gamma": gamma, "renorm": None}
+    # Batch renormalization without clipping: r * xhat + d is x normalized
+    # by the running statistics (as they were before this batch's update),
+    # and r, d are constants of the backward pass.
+    inv_std_run = 1.0 / np.sqrt(rvar + eps)
+    r_d = (inv_std_run / inv_std, (mean - rmean) * inv_std_run)
+    np.multiply(xhat, (gamma * r_d[0])[bc], out=out)
+    out += (beta + gamma * r_d[1])[bc]
+    rmean *= momentum
+    rmean += (1.0 - momentum) * mean
+    rvar *= momentum
+    rvar += (1.0 - momentum) * var
+    # dx scales by r * inv_std, which is inv_std_run.
+    return out, {"xhat": xhat, "inv_std": inv_std_run, "gamma": gamma, "renorm": r_d}
 
 
 def _bn_backward(dout: np.ndarray, ctx: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -477,26 +491,24 @@ def forward_batch(
     x: np.ndarray,
     onehot: np.ndarray,
     mode: Mode,
-    update_running: bool = False,
-    want_cache: bool = False,
-    batch_stats: bool = True,
 ) -> tuple[np.ndarray, dict | None]:
-    """Q-values (B, n_actions); optionally a cache for `backward_batch`.
+    """Q-values (B, n_actions), plus a cache for `backward_batch` unless INFER.
 
-    In TRAIN mode, `batch_stats=False` applies batch renormalization
-    without clipping (Ioffe 2017, arXiv:1702.03275): the Q-values equal
-    INFER's, so a sample's values do not depend on the rest of the batch,
-    while `backward_batch` returns the batch-statistics gradient with the
-    corrections r = sigma_B / sigma and d = (mu_B - mu) / sigma held
-    constant.  That is not the exact gradient of these Q-values; it keeps
-    batch norm's conditioning of the updates.
+    INFER normalizes with the running statistics.  TRAIN, the learner's
+    pass, applies batch renormalization without clipping (Ioffe 2017,
+    arXiv:1702.03275), then updates the running statistics: its Q-values
+    equal INFER's, so a sample's values do not depend on the rest of the
+    batch, while `backward_batch` returns the batch-statistics gradient
+    with the corrections r = sigma_B / sigma and d = (mu_B - mu) / sigma
+    held constant.  That is not the exact gradient of these Q-values; it
+    keeps batch norm's conditioning of the updates.  BATCH_STATS uses the
+    batch's own statistics and leaves the running ones alone: the function
+    whose exact gradient `backward_batch` returns, as `gradient_check` probes.
     """
     if x.ndim != 4 or x.shape[1] != arch.history or x.shape[2] != arch.input_size:
         raise ValueError(f"bad image batch shape {x.shape}")
     if onehot.shape != (x.shape[0], arch.onehot_len):
         raise ValueError(f"bad one-hot batch shape {onehot.shape}")
-    if mode is Mode.INFER and (update_running or want_cache):
-        raise ValueError("running-stat updates and backward caches need TRAIN mode")
 
     _WS.passes += 1
     cache: dict = {"pass": _WS.passes, "x_shapes": [], "cols": [], "bn": [], "pool": []}
@@ -516,8 +528,8 @@ def forward_batch(
             out, _ = _pool_forward(conv_out, role=f"stage{i}")
     else:
         for i in range(1, 5):
-            x_in = out
-            conv_out, cols = _conv_forward(x_in, params[f"conv{i}_w"], role=f"stage{i}")
+            cache["x_shapes"].append(out.shape)
+            conv_out, cols = _conv_forward(out, params[f"conv{i}_w"], role=f"stage{i}")
             bn_out, bn_ctx = _bn_forward(
                 conv_out,
                 params[f"bn{i}_gamma"],
@@ -526,18 +538,14 @@ def forward_batch(
                 params[f"bn{i}_rvar"],
                 arch.bn_momentum,
                 arch.bn_eps,
-                update_running,
-                batch_stats,
+                renorm=mode is Mode.TRAIN,
                 role=f"stage{i}",
             )
             bn_out *= bn_out > 0  # the normalized buffer becomes the ReLU output
-            pool_out, pool_ctx = _pool_forward(bn_out, role=f"stage{i}", route=want_cache)
-            if want_cache:
-                cache["x_shapes"].append(x_in.shape)
-                cache["cols"].append(cols)
-                cache["bn"].append(bn_ctx)
-                cache["pool"].append(pool_ctx)
-            out = pool_out
+            out, pool_ctx = _pool_forward(bn_out, role=f"stage{i}", route=True)
+            cache["cols"].append(cols)
+            cache["bn"].append(bn_ctx)
+            cache["pool"].append(pool_ctx)
 
     # 1x1 reduction (a single matmul over channels) then flatten per sample.
     b = x.shape[0]
@@ -563,7 +571,7 @@ def forward_batch(
     h2 *= h2_mask
     q = h2 @ params["head_w"] + params["head_b"]
 
-    if not want_cache:
+    if mode is Mode.INFER:
         return q, None
     cache.update(
         {
@@ -678,10 +686,10 @@ def gradient_check(
     x, onehot = states_to_batch(np.stack([positions, codes], axis=1), frames, arch)
 
     def loss(p: dict[str, np.ndarray]) -> float:
-        q, _ = forward_batch(p, arch, x, onehot, Mode.TRAIN)
+        q, _ = forward_batch(p, arch, x, onehot, Mode.BATCH_STATS)
         return 0.5 * float(np.sum(q * q))
 
-    q, cache = forward_batch(params, arch, x, onehot, Mode.TRAIN, want_cache=True)
+    q, cache = forward_batch(params, arch, x, onehot, Mode.BATCH_STATS)
     grads = backward_batch(params, arch, cache, q)
 
     frozen = set(arch.null_slots)
@@ -723,15 +731,6 @@ def dense_counts(n_in: int, n_out: int, bias: bool = True) -> tuple[int, int]:
     return n_in * n_out + (n_out if bias else 0), n_in * n_out
 
 
-def conv_counts(
-    height: int, width: int, c_in: int, c_out: int, kernel: int, bias: bool = True
-) -> tuple[int, int]:
-    """(parameters, MACs) of one same-padded convolution at the given map size."""
-    params = c_out * c_in * kernel * kernel + (c_out if bias else 0)
-    macs = height * width * c_out * c_in * kernel * kernel
-    return params, macs
-
-
 def count_params(arch: NetArch) -> int:
     """Learnable scalars only; batch-norm running statistics are buffers."""
     total = 0
@@ -752,10 +751,10 @@ def count_macs(arch: NetArch) -> int:
     size = arch.input_size
     c_in = arch.history
     for c_out in arch.conv_channels:
-        total += conv_counts(size, size, c_in, c_out, arch.kernel_size)[1]
+        total += size * size * c_out * c_in * arch.kernel_size * arch.kernel_size
         size //= 2
         c_in = c_out
-    total += conv_counts(size, size, c_in, arch.reduce_channels, 1)[1]
+    total += size * size * c_in * arch.reduce_channels  # the 1x1 reduction
     total += dense_counts(arch.onehot_len, arch.embed_dim, bias=False)[1]
     total += dense_counts(arch.feature_len, arch.fc_width)[1]
     total += dense_counts(arch.fc_width, arch.fc_width)[1]

@@ -123,6 +123,17 @@ class TestHyperparams:
         with pytest.raises(ValueError):
             Hyperparams(total_timesteps=0)
 
+    @pytest.mark.parametrize("lr", [0.0, -1e-4, float("nan"), float("inf")])
+    def test_rejects_a_learning_rate_that_is_not_finite_and_positive(self, lr):
+        with pytest.raises(ValueError, match="learning_rate"):
+            Hyperparams(total_timesteps=100, learning_rate=lr)
+
+    @pytest.mark.parametrize("field", ["adam_beta1", "adam_beta2", "adam_eps"])
+    def test_adam_constants_are_not_settings(self, field):
+        # The learner's Adam runs at the constants `Adam` defaults to.
+        with pytest.raises(TypeError):
+            Hyperparams(total_timesteps=100, **{field: 0.5})
+
 
 class TestEpsilonSchedule:
     def test_pinned_points_100k(self):
@@ -482,7 +493,8 @@ class TestTrainStep:
         params = init_params(ARCH, np.random.default_rng(1))
         raw = self._batch(env16, rng)
         x, onehot = states_to_batch([tr.state for tr in raw], env16.net_frames, ARCH)
-        q, _ = forward_batch(params, ARCH, x, onehot, Mode.TRAIN, batch_stats=False)
+        # On a copy: the TRAIN pass updates the running statistics it used.
+        q, _ = forward_batch(copy_params(params), ARCH, x, onehot, Mode.TRAIN)
         batch = _as_batch([
             Transition(
                 state=tr.state,
@@ -509,7 +521,7 @@ class TestTrainStep:
         before = copy_params(params)
         expected = copy_params(params)
         x, onehot = states_to_batch(batch.states, env16.net_frames, ARCH)
-        forward_batch(expected, ARCH, x, onehot, Mode.TRAIN, update_running=True, batch_stats=False)
+        forward_batch(expected, ARCH, x, onehot, Mode.TRAIN)
         train_step(params, before, ARCH, env16.net_frames, batch, Adam(1e-3), 0.9)
         for i in range(1, 5):
             for stat in ("rmean", "rvar"):
@@ -607,7 +619,7 @@ class TestSharedWorkspace:
 
         def lone_train_pass():
             x, onehot = states_to_batch(batch.states, frames, arch)
-            q, cache = forward_batch(params, arch, x, onehot, Mode.TRAIN, want_cache=True)
+            q, cache = forward_batch(params, arch, x, onehot, Mode.TRAIN)
             backward_batch(params, arch, cache, q)
 
         shared = self._stage_bytes(monkeypatch, act_bootstrap_learn)

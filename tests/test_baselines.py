@@ -188,8 +188,10 @@ class TestTablesMatchLoop:
             assert have.tobytes() == want.tobytes()
 
     def test_keeps_reward_range_check(self, tiny_stack):
-        # A curve normalised by less than its maximum leaves [0, 1].
-        bad = dataclasses.replace(tiny_stack, focus_max=tiny_stack.focus_max / 2)
+        # A negative focus value normalises to below 0.
+        values = tiny_stack.focus_values.copy()
+        values[0] = -1.0
+        bad = dataclasses.replace(tiny_stack, focus_values=values)
         with pytest.raises(ValueError, match="outside"):
             mdp_from_stack(bad)
 

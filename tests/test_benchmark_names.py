@@ -48,3 +48,13 @@ def test_entry_points_keep_their_signatures():
     assert train["eval_threads"].default == 1
     assert "progress" in train
     assert list(inspect.signature(agent.evaluate).parameters) == ["params", "arch", "env"]
+
+
+def test_forward_keeps_what_the_tracer_reads():
+    # spans.py reads `x` and `mode` by position and names a span by the mode's value.
+    from focusrl import net
+
+    params = list(inspect.signature(net.forward_batch).parameters)
+    assert params[:5] == ["params", "arch", "x", "onehot", "mode"]
+    assert net.Mode.TRAIN.value == "train"
+    assert net.Mode.INFER.value == "infer"

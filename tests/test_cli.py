@@ -9,6 +9,7 @@ import json
 import os
 from pathlib import Path
 import platform
+import shutil
 import struct
 
 import numpy as np
@@ -33,8 +34,10 @@ MINI = {
         "blur_gain": 0.5,
         "view_id": "mini",
     },
-    "env": {"net_input_size": 16},
-    "net": {"conv_channels": [2, 2, 2, 2], "reduce_channels": 2, "embed_dim": 8, "fc_width": 8},
+    "net": {
+        "input_size": 16, "conv_channels": [2, 2, 2, 2], "reduce_channels": 2, "embed_dim": 8,
+        "fc_width": 8,
+    },
     "train": {
         "total_timesteps": 300,
         "learn_start": 50,
@@ -100,12 +103,15 @@ class TestConfig:
         assert main(["count", "--config", str(path)]) == 2
         assert "needs 'z_min'" in capsys.readouterr().err
 
-    def test_net_input_must_match_env(self, tmp_path, capsys):
-        doc = dict(MINI, net=dict(MINI["net"], input_size=32))
+    @pytest.mark.parametrize("section,key", [("env", "net_input_size"), ("net", "history"),
+                                             ("net", "action_vocab"), ("net", "n_actions")])
+    def test_settings_the_program_fixes_are_unknown_keys(self, section, key, tmp_path, capsys):
+        # The env renders at net.input_size; the env fixes the action sizes.
+        doc = dict(MINI, **{section: {key: 16}})
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["count", "--config", str(path)]) == 2
-        assert "does not match env net_input_size" in capsys.readouterr().err
+        assert f"unknown {section} keys: {key}" in capsys.readouterr().err
 
 
 class TestCount:
@@ -304,13 +310,16 @@ class TestEval:
         for key in logged:
             assert fresh[key] == logged[key]
 
-    def test_rejects_input_size_mismatch(self, mini_run, tmp_path, capsys):
-        doc = dict(MINI, env={"net_input_size": 32}, net={})
-        path = tmp_path / "cfg32.json"
+    def test_renders_at_the_checkpoint_input_size(self, mini_run, tmp_path, capsys):
+        # A config whose net is the 64 px default still evaluates a 16 px checkpoint.
+        doc = {key: value for key, value in MINI.items() if key != "net"}
+        path = tmp_path / "cfg64.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         ckpt = str(mini_run / "ckpt_300")
-        assert main(["eval", ckpt, "--config", str(path)]) == 2
-        assert "expects 16px inputs" in capsys.readouterr().err
+        assert main(["eval", ckpt, "--config", str(path)]) == 0
+        fresh = json.loads(capsys.readouterr().out)
+        logged = json.loads((mini_run / "eval_300.json").read_text(encoding="utf-8"))
+        assert {key: fresh[key] for key in logged} == logged
 
     @pytest.mark.parametrize(
         "data",
@@ -388,6 +397,18 @@ class TestBaseline:
         assert payload["baseline"] == kind
         assert payload["stack_view"] == "mini"
         assert json.loads(capsys.readouterr().out) == payload
+
+    def test_manifest_without_a_key_is_a_clean_error(self, mini_config, mini_stack_dir,
+                                                      tmp_path, capsys):
+        stack_dir = tmp_path / "stack"
+        shutil.copytree(mini_stack_dir, stack_dir)
+        manifest = json.loads((stack_dir / "manifest.json").read_text(encoding="utf-8"))
+        del manifest["z_min"]
+        (stack_dir / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        code = main(["baseline", "scan", "--config", mini_config, "--stack", str(stack_dir)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "lacks z_min" in err
 
     def test_value_iteration_solves_the_mini_stack(self, mini_config, mini_stack_dir, capsys):
         code = main(

@@ -392,6 +392,33 @@ class TestStackRoundTrip:
         manifest = json.loads((tmp_path / "stack" / "manifest.json").read_text())
         for key in ("view_id", "z_min", "z_max", "spacing", "z_star", "blur_gain", "seed"):
             assert key in manifest
+        assert manifest["focus_max"] == tiny_stack.focus_max
+
+    def test_positions_and_maximum_derive_from_the_stored_fields(self, tmp_path, tiny_stack):
+        import json
+
+        save_stack(tiny_stack, tmp_path / "stack")
+        path = tmp_path / "stack" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["focus_max"] = 1.0  # a stale copy is not trusted
+        path.write_text(json.dumps(manifest))
+        loaded = load_stack(tmp_path / "stack")
+        want = 30.0 + 0.3 * np.arange(21, dtype=np.float64)
+        assert loaded.positions.tobytes() == tiny_stack.positions.tobytes() == want.tobytes()
+        assert loaded.focus_max == tiny_stack.focus_max == tiny_stack.focus_values.max()
+
+    @pytest.mark.parametrize("key", ["view_id", "seed", "z_min", "z_max", "spacing", "z_star",
+                                     "blur_gain", "focus_curve"])
+    def test_manifest_without_a_key_is_a_value_error(self, tmp_path, tiny_stack, key):
+        import json
+
+        save_stack(tiny_stack, tmp_path / "stack")
+        path = tmp_path / "stack" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        del manifest[key]
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=f"lacks {key}"):
+            load_stack(tmp_path / "stack")
 
 
 def test_all_frames_stay_in_range(tiny_stack):

@@ -1,6 +1,7 @@
 """Q-network forward/backward correctness, accounting, and checkpoints."""
 
 import dataclasses
+import json
 from pathlib import Path
 import struct
 
@@ -90,6 +91,14 @@ class TestNetArch:
         arch = NetArch(input_size=32)
         assert NetArch.from_dict(arch.to_dict()) == arch
 
+    def test_dict_keeps_the_fixed_sizes(self):
+        # Checkpoint headers and run_meta.json keep their keys and values.
+        assert NetArch().to_dict() == {
+            "input_size": 64, "conv_channels": [8, 16, 32, 64], "reduce_channels": 32,
+            "embed_dim": 512, "fc_width": 256, "kernel_size": 5, "history": 3,
+            "action_vocab": 6, "n_actions": 5, "bn_momentum": 0.99, "bn_eps": 1e-5,
+        }
+
     def test_feature_sizes(self):
         arch = NetArch()
         assert arch.final_map_size == 4
@@ -165,7 +174,7 @@ class TestForward:
                 arr[...] = 0.0
         params["head_b"][...] = np.array([1.0, -2.0, 3.0, 0.5, 0.0], dtype=np.float32)
         x, onehot = _random_batch(SMALL, rng, batch=2)
-        for mode in (Mode.INFER, Mode.TRAIN):
+        for mode in Mode:
             q, _ = forward_batch(params, SMALL, x, onehot, mode)
             np.testing.assert_allclose(q, np.tile(params["head_b"], (2, 1)), atol=1e-6)
 
@@ -190,12 +199,6 @@ class TestForward:
         q2, _ = forward_batch(params, SMALL, x, onehot, Mode.INFER)
         np.testing.assert_array_equal(q1, q2)
 
-    def test_infer_rejects_cache_request(self, rng):
-        params = init_params(SMALL, rng)
-        x, onehot = _random_batch(SMALL, rng)
-        with pytest.raises(ValueError, match="TRAIN"):
-            forward_batch(params, SMALL, x, onehot, Mode.INFER, want_cache=True)
-
     def test_shape_mismatch_reported(self, rng):
         params = init_params(SMALL, rng)
         x, onehot = _random_batch(SMALL, rng)
@@ -219,7 +222,7 @@ class TestBatchNorm:
     def test_train_mode_normalizes_per_channel(self, rng):
         params = init_params(SMALL, rng)
         x, onehot = _random_batch(SMALL, rng, batch=8)
-        _, cache = forward_batch(params, SMALL, x, onehot, Mode.TRAIN, want_cache=True)
+        _, cache = forward_batch(params, SMALL, x, onehot, Mode.BATCH_STATS)
         for ctx in cache["bn"]:
             xhat = ctx["xhat"]
             means = xhat.mean(axis=(1, 2, 3))
@@ -230,18 +233,20 @@ class TestBatchNorm:
             assert np.abs(variances - 1.0).max() < 1e-3
 
     def test_running_stats_untouched_without_flag(self, rng):
+        # BATCH_STATS and INFER leave the running statistics alone.
         params = init_params(SMALL, rng)
         before = {k: v.copy() for k, v in params.items() if "_r" in k}
         x, onehot = _random_batch(SMALL, rng)
-        forward_batch(params, SMALL, x, onehot, Mode.TRAIN)
+        forward_batch(params, SMALL, x, onehot, Mode.BATCH_STATS)
         forward_batch(params, SMALL, x, onehot, Mode.INFER)
         for k, v in before.items():
             np.testing.assert_array_equal(params[k], v)
 
     def test_running_stats_move_with_flag(self, rng):
+        # TRAIN, the learner's pass, updates them.
         params = init_params(SMALL, rng)
         x, onehot = _random_batch(SMALL, rng)
-        forward_batch(params, SMALL, x, onehot, Mode.TRAIN, update_running=True)
+        forward_batch(params, SMALL, x, onehot, Mode.TRAIN)
         assert not np.allclose(params["bn1_rmean"], 0.0)
         assert not np.allclose(params["bn1_rvar"], 1.0)
 
@@ -254,7 +259,7 @@ class TestBatchNorm:
         conv_out, _ = _conv_forward(xt.astype(np.float32), params["conv1_w"], "probe")
         mean = conv_out.mean(axis=(1, 2, 3))
         var = conv_out.var(axis=(1, 2, 3))
-        forward_batch(params, SMALL, x, onehot, Mode.TRAIN, update_running=True)
+        forward_batch(params, SMALL, x, onehot, Mode.TRAIN)
         np.testing.assert_allclose(params["bn1_rmean"], 0.01 * mean, rtol=1e-4, atol=1e-7)
         np.testing.assert_allclose(params["bn1_rvar"], 0.99 + 0.01 * var, rtol=1e-4)
 
@@ -265,12 +270,11 @@ class TestBatchNorm:
             params[f"bn{i}_rvar"] *= rng.uniform(0.5, 2.0, size=params[f"bn{i}_rvar"].shape)
         x, onehot = _random_batch(SMALL, rng, dtype=np.float64)
         q_infer, _ = forward_batch(params, SMALL, x, onehot, Mode.INFER)
-        q_train, _ = forward_batch(
-            params, SMALL, x, onehot, Mode.TRAIN, want_cache=True, batch_stats=False
-        )
+        # On copies: a TRAIN pass updates the running statistics after use.
+        q_train, _ = forward_batch(copy_params(params), SMALL, x, onehot, Mode.TRAIN)
         np.testing.assert_allclose(q_train, q_infer, rtol=1e-9, atol=1e-9)
         # and a single sample scores the same inside any batch
-        q_one, _ = forward_batch(params, SMALL, x[:1], onehot[:1], Mode.TRAIN, batch_stats=False)
+        q_one, _ = forward_batch(copy_params(params), SMALL, x[:1], onehot[:1], Mode.TRAIN)
         np.testing.assert_allclose(q_one[0], q_train[0], rtol=1e-9, atol=1e-9)
 
     def test_renormalization_at_batch_statistics_is_batch_norm(self, rng):
@@ -279,11 +283,13 @@ class TestBatchNorm:
         arch = dataclasses.replace(SMALL, bn_momentum=0.0)
         params = init_params(arch, rng, dtype=np.float64)
         x, onehot = _random_batch(arch, rng, dtype=np.float64)
-        q, cache = forward_batch(params, arch, x, onehot, Mode.TRAIN, update_running=True,
-                                 want_cache=True)
+        # At momentum 0, the k-th TRAIN pass sets stage k's running statistics
+        # to the batch statistics that a BATCH_STATS pass computes there.
+        for _ in range(4):
+            forward_batch(params, arch, x, onehot, Mode.TRAIN)
+        q, cache = forward_batch(params, arch, x, onehot, Mode.BATCH_STATS)
         want = backward_batch(params, arch, cache, q.copy())
-        q_re, cache = forward_batch(params, arch, x, onehot, Mode.TRAIN, want_cache=True,
-                                    batch_stats=False)
+        q_re, cache = forward_batch(params, arch, x, onehot, Mode.TRAIN)
         got = backward_batch(params, arch, cache, q_re.copy())
         np.testing.assert_allclose(q_re, q, rtol=1e-9, atol=1e-9)
         for name in learnable_names(arch):
@@ -294,7 +300,7 @@ class TestBackward:
     def test_zero_dq_gives_zero_grads(self, rng):
         params = init_params(SMALL, rng)
         x, onehot = _random_batch(SMALL, rng)
-        q, cache = forward_batch(params, SMALL, x, onehot, Mode.TRAIN, want_cache=True)
+        q, cache = forward_batch(params, SMALL, x, onehot, Mode.BATCH_STATS)
         grads = backward_batch(params, SMALL, cache, np.zeros_like(q))
         for name in learnable_names(SMALL):
             np.testing.assert_array_equal(grads[name], 0.0)
@@ -302,10 +308,10 @@ class TestBackward:
     def test_gradients_scale_linearly(self, rng):
         params = init_params(SMALL, rng)
         x, onehot = _random_batch(SMALL, rng)
-        q, cache = forward_batch(params, SMALL, x, onehot, Mode.TRAIN, want_cache=True)
+        q, cache = forward_batch(params, SMALL, x, onehot, Mode.BATCH_STATS)
         dq = rng.standard_normal(q.shape).astype(np.float32)
         g1 = backward_batch(params, SMALL, cache, dq.copy())
-        q, cache = forward_batch(params, SMALL, x, onehot, Mode.TRAIN, want_cache=True)
+        q, cache = forward_batch(params, SMALL, x, onehot, Mode.BATCH_STATS)
         g2 = backward_batch(params, SMALL, cache, 2.0 * dq)
         for name in learnable_names(SMALL):
             np.testing.assert_allclose(g2[name], 2.0 * g1[name], rtol=1e-4, atol=1e-5)
@@ -318,7 +324,7 @@ class TestBackward:
         onehot[:, SMALL.null_slots[0]] = 1.0
         onehot[:, SMALL.action_vocab + 1] = 1.0
         onehot[:, 2 * SMALL.action_vocab + 2] = 1.0
-        q, cache = forward_batch(params, SMALL, x, onehot, Mode.TRAIN, want_cache=True)
+        q, cache = forward_batch(params, SMALL, x, onehot, Mode.BATCH_STATS)
         grads = backward_batch(params, SMALL, cache, np.ones_like(q))
         for slot in SMALL.null_slots:
             np.testing.assert_array_equal(grads["embed_w"][slot], 0.0)
@@ -326,7 +332,7 @@ class TestBackward:
     def test_gradients_shape_congruent(self, rng):
         params = init_params(SMALL, rng)
         x, onehot = _random_batch(SMALL, rng)
-        q, cache = forward_batch(params, SMALL, x, onehot, Mode.TRAIN, want_cache=True)
+        q, cache = forward_batch(params, SMALL, x, onehot, Mode.BATCH_STATS)
         grads = backward_batch(params, SMALL, cache, q)
         for name in learnable_names(SMALL):
             assert grads[name].shape == params[name].shape
@@ -337,7 +343,7 @@ class TestBackward:
         params = init_params(SMALL, rng)
         x_a, onehot_a = _random_batch(SMALL, rng)
         x_b, onehot_b = _random_batch(SMALL, rng)
-        q, cache_a = forward_batch(params, SMALL, x_a, onehot_a, Mode.TRAIN, want_cache=True)
+        q, cache_a = forward_batch(params, SMALL, x_a, onehot_a, Mode.BATCH_STATS)
         forward_batch(params, SMALL, x_b, onehot_b, Mode.TRAIN)
         with pytest.raises(RuntimeError, match="stale"):
             backward_batch(params, SMALL, cache_a, q)
@@ -346,7 +352,7 @@ class TestBackward:
         # Inference runs on the same stage buffers, at any batch size.
         params = init_params(SMALL, rng)
         x, onehot = _random_batch(SMALL, rng)
-        q, cache = forward_batch(params, SMALL, x, onehot, Mode.TRAIN, want_cache=True)
+        q, cache = forward_batch(params, SMALL, x, onehot, Mode.BATCH_STATS)
         forward_batch(params, SMALL, x[:1], onehot[:1], Mode.INFER)
         with pytest.raises(RuntimeError, match="stale"):
             backward_batch(params, SMALL, cache, q)
@@ -457,10 +463,13 @@ class TestBatchNormVariance:
         rmean, rvar = np.zeros(c, dtype), np.ones(c, dtype)
         # Momentum 0 makes the running variance the batch variance itself.
         _, ctx = _bn_forward(x.copy(), gamma, beta, rmean, rvar, momentum=0.0, eps=1e-5,
-                             update_running=True, role="probe")
+                             renorm=True, role="probe")
         var = x.var(axis=(1, 2, 3))
         mean = x.mean(axis=(1, 2, 3))
         assert _bits_equal(rvar, var)
+        # Without renormalization the context keeps the batch's own scale.
+        _, ctx = _bn_forward(x.copy(), gamma, beta, rmean, rvar, momentum=0.0, eps=1e-5,
+                             renorm=False, role="probe")
         inv_std = 1.0 / np.sqrt(var + 1e-5)
         assert _bits_equal(ctx["inv_std"], inv_std)
         assert _bits_equal(ctx["xhat"], (x - mean[:, None, None, None]) * inv_std[:, None, None, None])
@@ -654,6 +663,22 @@ class TestCheckpoint:
         save_checkpoint(path, params, SMALL, step=1)
         with pytest.raises(ValueError, match="does not match"):
             load_checkpoint(path, expect_arch=NetArch(input_size=32))
+
+    @pytest.mark.parametrize("field,value", [
+        ("history", 2), ("history", 4), ("action_vocab", 5), ("n_actions", 4), ("n_actions", 6),
+        ("n_actions", 5.0),
+    ])
+    def test_rejects_a_header_with_other_fixed_sizes(self, tmp_path, rng, field, value):
+        path = tmp_path / "ckpt"
+        save_checkpoint(path, init_params(SMALL, rng), SMALL, step=1)
+        data = path.read_bytes()
+        (header_len,) = struct.unpack("<I", data[4:8])
+        header = json.loads(data[8 : 8 + header_len])
+        header["arch"][field] = value
+        blob = json.dumps(header).encode("utf-8")
+        path.write_bytes(data[:4] + struct.pack("<I", len(blob)) + blob + data[8 + header_len :])
+        with pytest.raises(ValueError, match=f"{field} is fixed"):
+            load_checkpoint(path)
 
     def test_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "junk"
