@@ -23,12 +23,20 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from focusrl.env import ACTION_HISTORY, Action, AutofocusEnv, EpisodeOutcome, StateSeq, Transition
+from focusrl.env import (
+    ACTION_HISTORY,
+    Action,
+    AutofocusEnv,
+    EpisodeOutcome,
+    StateSeq,
+    Transition,
+    check_real_fields,
+)
+from focusrl.fileio import atomic_open
 from focusrl.net import (
     Mode,
     NetArch,
     Params,
-    atomic_open,
     backward_batch,
     copy_params,
     forward_batch,
@@ -60,6 +68,7 @@ class Hyperparams:
     eval_interval: int = 1_000
 
     def __post_init__(self):
+        check_real_fields(self)
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must be in (0, 1), got {self.gamma}")
         for name in ("epsilon_start", "epsilon_end"):

@@ -31,13 +31,13 @@ from focusrl.imaging import (
     render_scene,
     save_stack,
 )
+from focusrl.fileio import atomic_open
 from focusrl.net import (
     MAC_BUDGET,
     MAC_TOLERANCE,
     PARAM_BUDGET,
     PARAM_TOLERANCE,
     NetArch,
-    atomic_open,
     count_macs,
     count_params,
     load_checkpoint,

@@ -16,7 +16,7 @@ and `frame_ids` names each row by the first row with the same bytes.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum, IntEnum
 
 import numpy as np
@@ -93,6 +93,19 @@ class StateSeq(namedtuple("StateSeq", ("positions", "action_codes"))):
         return tuple.__new__(cls, (tuple(positions), tuple(action_codes)))
 
 
+def is_real(value) -> bool:
+    """An int or a float, not a bool: what a numeric setting must be."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def check_real_fields(config, skip: tuple[str, ...] = ()) -> None:
+    """Reject a dataclass whose fields, apart from `skip`, are not all real numbers."""
+    for field in fields(config):
+        value = getattr(config, field.name)
+        if field.name not in skip and not is_real(value):
+            raise ValueError(f"{field.name} must be a number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class EnvConfig:
     stack: FocalStack
@@ -103,6 +116,7 @@ class EnvConfig:
     net_input_size: int = 64
 
     def __post_init__(self):
+        check_real_fields(self, skip=("stack",))
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be positive, got {self.max_steps}")
         if not 0.0 < self.success_ratio < 1.0:
@@ -179,8 +193,9 @@ class AutofocusEnv:
             row = first_row.setdefault(frame, i)
             frames[i] = frames[row] if row < i else resize_bilinear(frame, size, size).pixels
         frames.flags.writeable = False
-        # Mirrored positions can differ in the last bits of σ yet resize to
-        # the same bytes; ids follow the bytes, so equal ids mean equal input.
+        # Frames of different σ can resize to the same bytes, as the sharpest
+        # frame and its neighbours do; ids follow the bytes, so equal ids
+        # mean equal input.
         first_id: dict[bytes, int] = {}
         self.frame_ids = tuple(first_id.setdefault(row.tobytes(), i)
                                for i, row in enumerate(frames))

@@ -1,6 +1,11 @@
 """Synthetic imaging: scenes, defocus blur, focal stacks, and PGM I/O."""
 
-from focusrl.imaging.filters import defocus_blur, gaussian_blur_array, gaussian_kernel
+from focusrl.imaging.filters import (
+    defocus_blur,
+    defocus_series,
+    gaussian_blur_array,
+    gaussian_kernel,
+)
 from focusrl.imaging.image import (
     GRAY_WEIGHTS,
     Image,
@@ -31,6 +36,7 @@ __all__ = [
     "Scene",
     "crop",
     "defocus_blur",
+    "defocus_series",
     "gaussian_blur_array",
     "gaussian_kernel",
     "generate_stack",

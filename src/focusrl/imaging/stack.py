@@ -8,8 +8,9 @@ from pathlib import Path
 
 import numpy as np
 
+from focusrl.fileio import atomic_open
 from focusrl.focus import tenengrad
-from focusrl.imaging.filters import defocus_blur
+from focusrl.imaging.filters import defocus_series
 from focusrl.imaging.image import Image, load_pgm, save_pgm
 from focusrl.imaging.scene import Scene
 
@@ -34,8 +35,9 @@ class FocalStack:
     so consumers can normalise without touching pixels again.  Saving
     quantises frames to 8 bits but keeps the full-precision curve in the
     manifest; `load_stack` restores the manifest curve rather than
-    re-measuring the quantised frames.  Positions of equal blur may share
-    one immutable `Image` in `frames`.
+    re-measuring the quantised frames.  Positions of equal blur, such as
+    those mirrored about z_star, share one immutable `Image` in `frames`,
+    and `load_stack` shares one among positions whose files are equal.
     """
 
     view_id: str
@@ -92,21 +94,25 @@ def generate_stack(
     """Blur a scene into a focal stack.
 
     Frame k sits at position z_min + k * spacing and is blurred with
-    sigma = blur_gain * |position - z_star|, so the frame nearest z_star is
-    sharpest and sharpness decays away from it on both sides.
+    sigma = blur_gain * spacing * |k - c|, where c = (z_star - z_min) / spacing
+    is the fractional index of z_star: the frame nearest z_star is sharpest
+    and sharpness decays away from it on both sides.
     """
     n = position_count(z_min, z_max, spacing)
     if not z_min < z_star < z_max:
         raise ValueError(f"z_star {z_star} must lie strictly inside [{z_min}, {z_max}]")
     if blur_gain < 0:
         raise ValueError(f"blur_gain must be non-negative, got {blur_gain}")
-    positions = z_min + spacing * np.arange(n, dtype=np.float64)
-    # Each distinct sigma is blurred and scored once, and its frame shared.
-    # Only some positions mirrored about z_star get bitwise-equal sigmas:
-    # tiny, exp1 and exp2 blur 18, 92 and 196 frames for 21, 131 and 266
-    # positions, and the other mirrored pairs' sigmas lie 1-128 ulps apart.
-    sigmas = [blur_gain * abs(float(z) - z_star) for z in positions]
-    frame_of = {sigma: defocus_blur(scene.content, sigma) for sigma in dict.fromkeys(sigmas)}
+    # A c within the grid tolerance of a multiple of 1/2 is snapped to it, so
+    # positions mirrored about z_star get bitwise-equal sigmas.  Each distinct
+    # sigma is blurred and scored once, and its frame shared: tiny, exp1 and
+    # exp2 blur 13, 71 and 137 frames for 21, 131 and 266 positions.
+    c = (z_star - z_min) / spacing
+    if abs(c - round(2 * c) / 2) <= _GRID_RTOL * max(1.0, c):
+        c = round(2 * c) / 2
+    sigmas = [blur_gain * spacing * abs(k - c) for k in range(n)]
+    distinct = list(dict.fromkeys(sigmas))
+    frame_of = dict(zip(distinct, defocus_series(scene.content, distinct)))
     value_of = {sigma: tenengrad(frame) for sigma, frame in frame_of.items()}
     frames = [frame_of[sigma] for sigma in sigmas]
     focus_values = np.array([value_of[sigma] for sigma in sigmas])
@@ -128,7 +134,11 @@ def _frame_name(index: int) -> str:
 
 
 def save_stack(stack: FocalStack, directory: str | Path) -> None:
-    """Write frames as PGM plus a JSON manifest into a directory."""
+    """Write frames as PGM plus a JSON manifest into a directory.
+
+    The manifest is written last and atomically, so a directory that has one
+    holds every frame.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for i, frame in enumerate(stack.frames):
@@ -144,7 +154,7 @@ def save_stack(stack: FocalStack, directory: str | Path) -> None:
         "focus_max": stack.focus_max,
         "focus_curve": [float(v) for v in stack.focus_values],
     }
-    with open(directory / MANIFEST_NAME, "w", encoding="utf-8") as fh:
+    with atomic_open(directory / MANIFEST_NAME, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -168,12 +178,18 @@ def load_stack(directory: str | Path) -> FocalStack:
         raise ValueError(
             f"manifest curve has {len(focus_values)} entries for {n} positions"
         )
+    # Positions whose files have equal bytes share one frame, as they did
+    # when the stack was generated.
+    frame_of: dict[bytes, Image] = {}
     frames = []
     for i in range(n):
         frame_path = directory / _frame_name(i)
         if not frame_path.is_file():
             raise FileNotFoundError(f"stack at {directory} is missing {frame_path.name}")
-        frames.append(load_pgm(frame_path))
+        data = frame_path.read_bytes()
+        if data not in frame_of:
+            frame_of[data] = load_pgm(frame_path)
+        frames.append(frame_of[data])
     return FocalStack(
         view_id=manifest["view_id"],
         seed=int(manifest["seed"]),

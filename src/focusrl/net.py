@@ -13,19 +13,18 @@ channels from the env's `net_frames`; its three action codes become an
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from enum import Enum
 import json
 import math
-import os
 from pathlib import Path
 import struct
 from typing import ClassVar, Sequence
 
 import numpy as np
 
-from focusrl.env import ACTION_HISTORY, NULL_ACTION_CODE, Action
+from focusrl.env import ACTION_HISTORY, NULL_ACTION_CODE, Action, is_real
+from focusrl.fileio import atomic_open
 
 CHECKPOINT_MAGIC = b"FRLQ"
 CHECKPOINT_VERSION = 1
@@ -37,10 +36,6 @@ class Mode(Enum):
     INFER = "infer"  # running statistics folded into the conv weights; no cache
     TRAIN = "train"  # batch renormalization; updates the running statistics
     BATCH_STATS = "batch_stats"  # plain batch norm, running statistics untouched
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -80,9 +75,9 @@ class NetArch:
             )
         if self.kernel_size % 2 != 1:
             raise ValueError("kernel_size must be odd for same-size convolution")
-        if not (_is_real(self.bn_momentum) and 0.0 <= self.bn_momentum < 1.0):
+        if not (is_real(self.bn_momentum) and 0.0 <= self.bn_momentum < 1.0):
             raise ValueError(f"bn_momentum must be a real number in [0, 1), got {self.bn_momentum!r}")
-        if not (_is_real(self.bn_eps) and 0.0 < self.bn_eps < math.inf):
+        if not (is_real(self.bn_eps) and 0.0 < self.bn_eps < math.inf):
             raise ValueError(f"bn_eps must be a finite real number > 0, got {self.bn_eps!r}")
 
     @property
@@ -763,19 +758,6 @@ def count_macs(arch: NetArch) -> int:
 
 
 # -- checkpoints ---------------------------------------------------------
-
-
-@contextmanager
-def atomic_open(path: str | Path, mode: str, **kwargs):
-    """Write a temp file beside `path` that replaces it only once the block ends cleanly."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.tmp")
-    try:
-        with open(tmp, mode, **kwargs) as fh:
-            yield fh
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 def save_checkpoint(path: str | Path, params: Params, arch: NetArch, step: int) -> None:

@@ -128,6 +128,12 @@ class TestHyperparams:
         with pytest.raises(ValueError, match="learning_rate"):
             Hyperparams(total_timesteps=100, learning_rate=lr)
 
+    @pytest.mark.parametrize("key,value", [("gamma", "0.9"), ("gamma", True), ("batch_size", None),
+                                           ("learning_rate", [1e-4]), ("total_timesteps", "100")])
+    def test_rejects_a_value_that_is_not_a_number(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            Hyperparams(**dict({"total_timesteps": 100}, **{key: value}))
+
     @pytest.mark.parametrize("field", ["adam_beta1", "adam_beta2", "adam_eps"])
     def test_adam_constants_are_not_settings(self, field):
         # The learner's Adam runs at the constants `Adam` defaults to.

@@ -103,6 +103,17 @@ class TestConfig:
         assert main(["count", "--config", str(path)]) == 2
         assert "needs 'z_min'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,section,key,value", [
+        ("value-iteration", "train", "gamma", "0.9"), ("scan", "env", "max_steps", "20")])
+    def test_a_value_that_is_not_a_number_is_a_clean_error(self, command, section, key, value,
+                                                           tmp_path, capsys):
+        doc = dict(MINI, **{section: dict(MINI.get(section, {}), **{key: value})})
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["baseline", command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{key} must be a number" in err
+
     @pytest.mark.parametrize("section,key", [("env", "net_input_size"), ("net", "history"),
                                              ("net", "action_vocab"), ("net", "n_actions")])
     def test_settings_the_program_fixes_are_unknown_keys(self, section, key, tmp_path, capsys):

@@ -18,6 +18,7 @@ from focusrl.env import (
     is_success,
     reward,
 )
+from focusrl.cli import load_config
 from focusrl.imaging import resize_bilinear
 
 
@@ -81,12 +82,65 @@ class TestEnvConfig:
         with pytest.raises(ValueError):
             EnvConfig(stack=tiny_stack, bonus_magnitude=0.0)
 
+    @pytest.mark.parametrize("key,value", [("max_steps", "20"), ("max_steps", True),
+                                           ("success_ratio", None), ("reward_coeff", [10.0]),
+                                           ("bonus_magnitude", False), ("net_input_size", "32")])
+    def test_rejects_a_value_that_is_not_a_number(self, tiny_stack, key, value):
+        with pytest.raises(ValueError, match=key):
+            EnvConfig(stack=tiny_stack, **{key: value})
+
     def test_defaults(self, tiny_stack):
         cfg = EnvConfig(stack=tiny_stack)
         assert cfg.max_steps == 20
         assert cfg.success_ratio == 0.9
         assert cfg.reward_coeff == 10.0
         assert cfg.bonus_magnitude == 100.0
+
+
+class TestMirroredPositions:
+    """Positions mirrored about best focus are one frame, one value, one reward."""
+
+    @pytest.fixture(scope="class", params=[("tiny", 13, 8), ("exp1", 71, 60), ("exp2", 137, 129)],
+                    ids=["tiny", "exp1", "exp2"])
+    def preset(self, request):
+        name, blurs, pairs = request.param
+        config, _ = load_config(name)
+        stack = config.stack.build()
+        return AutofocusEnv(config.env_config(stack)), blurs, pairs
+
+    @staticmethod
+    def _pairs(env):
+        mid, n = env.cfg.stack.sharpest_index, env.n_positions
+        return [(mid - j, mid + j) for j in range(1, n) if 0 <= mid - j and mid + j < n]
+
+    def test_one_blur_per_distance_from_best_focus(self, preset):
+        env, blurs, pairs = preset
+        assert len({id(frame) for frame in env.cfg.stack.frames}) == blurs
+        assert len(self._pairs(env)) == pairs
+
+    def test_pairs_share_frame_and_focus_value(self, preset):
+        env = preset[0]
+        stack = env.cfg.stack
+        for left, right in self._pairs(env):
+            assert stack.frames[left] is stack.frames[right]
+            assert stack.focus_values[left] == stack.focus_values[right]
+            assert env.frame_ids[left] == env.frame_ids[right]
+
+    def test_pairs_get_equal_rewards(self, preset):
+        env = copy.copy(preset[0])
+        moves = [(Action.TERMINATE, Action.TERMINATE),
+                 (Action.FINE_POSITIVE, Action.FINE_NEGATIVE)]  # toward best focus
+        for left, right in self._pairs(env):
+            # Away from best focus, unless that leaves the range on one side only.
+            away = [(Action.FINE_NEGATIVE, Action.FINE_POSITIVE)] * (
+                left > 0 and right < env.n_positions - 1)
+            for left_act, right_act in moves + away:
+                env.reset_at(left)
+                left_step = env.step(left_act)
+                env.reset_at(right)
+                right_step = env.step(right_act)
+                assert left_step.reward == right_step.reward, (left, right, left_act)
+                assert left_step.outcome is right_step.outcome
 
 
 class TestReward:

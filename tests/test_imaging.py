@@ -1,14 +1,18 @@
 """Image I/O, preprocessing, scene rendering, and focal-stack generation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from focusrl.env import AutofocusEnv, EnvConfig
 from focusrl.focus import tenengrad
 from focusrl.imaging import (
     Image,
     PgmError,
     crop,
     defocus_blur,
+    defocus_series,
     generate_stack,
     load_pgm,
     load_stack,
@@ -43,14 +47,6 @@ def _two_axis_blur(arr, sigma):
         return out
 
     return correlate(correlate(arr, 0), 1)
-
-
-def _per_position_stack(scene, z_min, z_max, spacing, z_star, blur_gain):
-    """Reference: one blur and one score per position, the two-axis blur."""
-    positions = z_min + spacing * np.arange(position_count(z_min, z_max, spacing))
-    sigmas = [blur_gain * abs(float(z) - z_star) for z in positions]
-    frames = [Image(np.clip(_two_axis_blur(scene.content.pixels, s), 0.0, 1.0)) for s in sigmas]
-    return frames, np.array([tenengrad(frame) for frame in frames])
 
 
 class TestImage:
@@ -292,10 +288,38 @@ class TestBlurMatchesTwoAxisLoop:
         assert got.tobytes() == render_scene(seed=11, width=48, height=40).content.pixels.tobytes()
 
 
-class TestSharedFrames:
-    """Positions of equal blur share one frame; every byte stays as it was."""
+class TestDefocusSeries:
+    """One transform of the padded image blurs it at every sigma."""
 
-    # Positions mirrored about z_star = 32.4 on the 0.3 grid share a sigma.
+    SIGMAS = (0.1, 0.34, 1.3, 2.5, 6.0, 12.0, 25.0)
+
+    @pytest.mark.parametrize("shape", [(37, 90), (90, 37), (12, 50)])  # wide, tall, reflecting
+    def test_matches_two_axis_loop(self, shape):
+        img = Image(np.random.default_rng(sum(shape)).random(shape))
+        frames = defocus_series(img, self.SIGMAS)
+        for sigma, frame in zip(self.SIGMAS, frames):
+            want = np.clip(_two_axis_blur(img.pixels, sigma), 0.0, 1.0)
+            np.testing.assert_allclose(frame.pixels, want, rtol=0, atol=1e-12, err_msg=str(sigma))
+            assert frame.pixels.flags.c_contiguous
+
+    def test_sigma_zero_is_the_exact_identity(self, small_scene):
+        frames = defocus_series(small_scene.content, [0.0, 3.0, 0.0])
+        for frame in (frames[0], frames[2]):
+            assert frame.pixels.tobytes() == small_scene.content.pixels.tobytes()
+
+    def test_defocus_blur_is_the_one_sigma_case(self, small_scene):
+        got = defocus_blur(small_scene.content, 2.5).pixels
+        assert got.tobytes() == defocus_series(small_scene.content, [2.5])[0].pixels.tobytes()
+
+    def test_rejects_negative_sigma(self, small_scene):
+        with pytest.raises(ValueError):
+            defocus_series(small_scene.content, [1.0, -0.1])
+
+
+class TestSharedFrames:
+    """Positions of equal blur share one frame."""
+
+    # Best focus, z_star = 32.4, sits on index c = 8 of the 0.3 grid.
     ARGS = dict(z_min=30.0, z_max=36.0, spacing=0.3, z_star=32.4, blur_gain=0.5)
 
     @pytest.fixture(scope="class")
@@ -303,18 +327,30 @@ class TestSharedFrames:
         return generate_stack(small_scene, **self.ARGS)
 
     def test_frames_and_values_match_per_position_loop(self, stack, small_scene):
-        frames, values = _per_position_stack(small_scene, **self.ARGS)
-        assert [f.pixels.tobytes() for f in stack.frames] == [f.pixels.tobytes() for f in frames]
-        assert stack.focus_values.tobytes() == values.tobytes()
-        assert stack.focus_max == values.max()
+        for k, frame in enumerate(stack.frames):
+            sigma = 0.5 * 0.3 * abs(k - 8)
+            want = np.clip(_two_axis_blur(small_scene.content.pixels, sigma), 0.0, 1.0)
+            np.testing.assert_allclose(frame.pixels, want, rtol=0, atol=1e-12)
+            assert stack.focus_values[k] == tenengrad(frame)
+        assert stack.frames[8].pixels.tobytes() == small_scene.content.pixels.tobytes()
 
     def test_frames_are_c_contiguous(self, stack):
         assert all(frame.pixels.flags.c_contiguous for frame in stack.frames)
 
     def test_one_frame_per_distinct_sigma(self, stack):
-        sigmas = {stack.blur_gain * abs(float(z) - stack.z_star) for z in stack.positions}
+        sigmas = {stack.blur_gain * stack.spacing * abs(k - 8) for k in range(len(stack))}
         ids = {id(frame) for frame in stack.frames}
-        assert len(ids) == len(sigmas) < len(stack)
+        assert len(ids) == len(sigmas) == 13 < len(stack)
+
+    def test_off_half_grid_z_star_is_not_snapped(self, small_scene):
+        # c = (32.45 - 30) / 0.3 = 8.17: no two positions are equally far from it.
+        stack = generate_stack(small_scene, **dict(self.ARGS, z_star=32.45))
+        assert len({id(frame) for frame in stack.frames}) == len(stack) == 21
+        assert stack.sharpest_index == 8
+        sharp = stack.frames[8].pixels
+        assert sharp.tobytes() != small_scene.content.pixels.tobytes()
+        want = np.clip(_two_axis_blur(small_scene.content.pixels, 0.15 * (2.45 / 0.3 - 8)), 0, 1)
+        np.testing.assert_allclose(sharp, want, rtol=0, atol=1e-12)
 
 
 class TestGenerateStack:
@@ -406,6 +442,39 @@ class TestStackRoundTrip:
         want = 30.0 + 0.3 * np.arange(21, dtype=np.float64)
         assert loaded.positions.tobytes() == tiny_stack.positions.tobytes() == want.tobytes()
         assert loaded.focus_max == tiny_stack.focus_max == tiny_stack.focus_values.max()
+
+    def test_positions_with_equal_files_share_one_frame(self, tmp_path, tiny_stack):
+        save_stack(tiny_stack, tmp_path / "stack")
+        loaded = load_stack(tmp_path / "stack")
+        files = {path.read_bytes() for path in (tmp_path / "stack").glob("*.pgm")}
+        # 13 blurs; the sharpest frame and its neighbours quantise alike.
+        assert len({id(frame) for frame in loaded.frames}) == len(files) == 12
+        unshared = replace(loaded, frames=[Image(f.pixels.copy()) for f in loaded.frames])
+        ids = AutofocusEnv(EnvConfig(stack=loaded, net_input_size=32)).frame_ids
+        assert ids == AutofocusEnv(EnvConfig(stack=unshared, net_input_size=32)).frame_ids
+
+    @staticmethod
+    def _fail_midway(obj, fh, **kwargs):
+        fh.write('{"view_id": ')
+        raise OSError("disk full")
+
+    def test_a_failed_manifest_write_leaves_no_manifest(self, tmp_path, tiny_stack, monkeypatch):
+        monkeypatch.setattr("focusrl.imaging.stack.json.dump", self._fail_midway)
+        with pytest.raises(OSError, match="disk full"):
+            save_stack(tiny_stack, tmp_path / "stack")
+        assert sorted(p.name for p in (tmp_path / "stack").iterdir()) == [
+            f"frame_{i:04d}.pgm" for i in range(len(tiny_stack))]
+        with pytest.raises(FileNotFoundError, match="no stack manifest"):
+            load_stack(tmp_path / "stack")
+
+    def test_a_failed_rewrite_keeps_the_old_manifest(self, tmp_path, tiny_stack, monkeypatch):
+        save_stack(tiny_stack, tmp_path / "stack")
+        before = (tmp_path / "stack" / "manifest.json").read_bytes()
+        monkeypatch.setattr("focusrl.imaging.stack.json.dump", self._fail_midway)
+        with pytest.raises(OSError, match="disk full"):
+            save_stack(tiny_stack, tmp_path / "stack")
+        assert (tmp_path / "stack" / "manifest.json").read_bytes() == before
+        assert not list((tmp_path / "stack").glob(".*"))
 
     @pytest.mark.parametrize("key", ["view_id", "seed", "z_min", "z_max", "spacing", "z_star",
                                      "blur_gain", "focus_curve"])
