@@ -3,7 +3,8 @@
 Three ways to solve a stack without a network: an exact tabular model
 solved by value iteration (the optimal-policy ceiling), a classical
 coarse-to-fine hill climb over the sharpness measure, and an exhaustive
-scan.  Trained agents are judged against these.
+scan.  Trained agents are judged against these.  All three read the
+stored focus curve over integer positions; none steps the simulator.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from focusrl.env import (
     EnvConfig,
     EpisodeOutcome,
     is_success,
-    reward,
 )
 from focusrl.focus import FocusCurve
 from focusrl.focus import focus_curve  # noqa: F401  (unused; perfbench's tracer patches this name)
@@ -47,6 +47,7 @@ class DiscreteMdp:
     rewards: np.ndarray  # (n_states, n_actions) float
     done: np.ndarray  # (n_states, n_actions) bool
     outcome_code: np.ndarray  # (n_states, n_actions) int, index into TERMINAL_OUTCOMES + Running
+    end_index: np.ndarray  # (n_states, n_actions) int, where the stage stands after; -1 when terminal
 
     @property
     def n_states(self) -> int:
@@ -75,12 +76,17 @@ def mdp_from_stack(stack: FocalStack, cfg: EnvConfig | None = None) -> DiscreteM
     elif cfg.stack is not stack:
         raise ValueError("cfg must wrap the same stack")
     n, max_steps = len(stack), cfg.max_steps
-    curve = [float(c) for c in stack.focus_values / stack.focus_max]
+    curve = (stack.focus_values / stack.focus_max).astype(np.float64)
+    outside = ~((curve >= 0.0) & (curve <= 1.0))
+    if outside.any():
+        raise ValueError(f"normalized focus {curve[outside][0]} outside [0, 1]")
     # Row k of `pay` is the reward of outcome code k at each position, with
-    # Running (code -1) last; calling `reward` per position keeps its checks.
+    # Running (code -1) last: `reward`'s arithmetic, one position per column.
+    shaped, bonus = cfg.reward_coeff * (curve - 1.0), cfg.bonus_magnitude
     outcomes = (*TERMINAL_OUTCOMES, EpisodeOutcome.RUNNING)
-    pay = np.array([[reward(c, out, cfg) for c in curve] for out in outcomes])
-    ok = np.array([is_success(c, cfg) for c in curve])
+    pay = np.array([shaped + bonus if out is EpisodeOutcome.SUCCESS_TERMINATE
+                    else shaped - bonus if out.is_failure else shaped for out in outcomes])
+    ok = is_success(curve, cfg)
     success, blurry, out_of_range, out_of_steps = range(len(TERMINAL_OUTCOMES))
     index = np.arange(n)
     steps = np.arange(max_steps)[:, None]
@@ -100,20 +106,13 @@ def mdp_from_stack(stack: FocalStack, cfg: EnvConfig | None = None) -> DiscreteM
     running = code == -1
     terminal = n * max_steps
     next_state = np.where(running, (steps[..., None] + 1) * n + at, terminal)
-    tables = (next_state, pay[code, at], ~running, code)
-    # The absorbing terminal state: done, zero reward, self-looping.
-    next_state, rewards, done, outcome_code = (
+    # The tables in field order, each closed by the absorbing terminal state:
+    # done, zero reward, self-looping, at no position.
+    tables = (next_state, pay[code, at], ~running, code, at)
+    return DiscreteMdp(n, max_steps, *(
         np.vstack([table.reshape(terminal, len(Action)), np.full(len(Action), fill)])
-        for table, fill in zip(tables, (terminal, 0.0, True, -1))
-    )
-    return DiscreteMdp(
-        n_positions=n,
-        max_steps=max_steps,
-        next_state=next_state,
-        rewards=rewards,
-        done=done,
-        outcome_code=outcome_code,
-    )
+        for table, fill in zip(tables, (terminal, 0.0, True, -1, -1))
+    ))
 
 
 def value_iteration(mdp: DiscreteMdp, gamma: float) -> np.ndarray:
@@ -146,137 +145,139 @@ def value_iteration(mdp: DiscreteMdp, gamma: float) -> np.ndarray:
 
 
 def greedy_policy_report(q_table: np.ndarray, mdp: DiscreteMdp, env: AutofocusEnv) -> EvalReport:
-    """Run the Q-table's greedy policy through the simulator from every start.
+    """Roll the Q-table's greedy policy out over the MDP tables from every start.
 
-    Ties go to the lowest action code.
+    Every start advances at once, one table lookup per step, so the
+    rollout takes at most `max_steps` vectorised steps.  The env supplies
+    only the focus curve the final positions are scored on.  Ties go to
+    the lowest action code.
     """
+    if q_table.shape != (mdp.n_states, len(Action)):
+        raise ValueError(f"Q-table shape {q_table.shape} != {(mdp.n_states, len(Action))}")
+    if (env.n_positions, env.cfg.max_steps) != (mdp.n_positions, mdp.max_steps):
+        raise ValueError(f"env has {env.n_positions} positions and {env.cfg.max_steps} steps, "
+                         f"the MDP {mdp.n_positions} and {mdp.max_steps}")
     policy = q_table.argmax(axis=1)
-    episodes = []
-    for start in range(env.n_positions):
-        env.reset_at(start)
-        while not env.done:
-            env.step(int(policy[mdp.state_id(env.position_index, env.steps_taken)]))
-        episodes.append(
-            (env.outcome, env.steps_taken, float(env.normalized_curve[env.position_index]))
-        )
-    return EvalReport.from_episodes(episodes)
+    state = np.arange(mdp.n_positions)  # at step 0 a state id is its start index
+    code = np.full(mdp.n_positions, -1)
+    steps = np.zeros_like(code)
+    end = state.copy()
+    for step in range(1, mdp.max_steps + 1):
+        live = np.flatnonzero(code < 0)
+        if not live.size:
+            break
+        here = state[live]
+        act = policy[here]
+        code[live] = mdp.outcome_code[here, act]
+        steps[live] = step
+        end[live] = mdp.end_index[here, act]
+        state[live] = mdp.next_state[here, act]
+    return EvalReport.from_episodes([
+        (TERMINAL_OUTCOMES[c], k, focus)
+        for c, k, focus in zip(code.tolist(), steps.tolist(), env.normalized_curve[end].tolist())
+    ])
 
 
 # -- classical hill climb ------------------------------------------------
 
 
-def _measure(env: AutofocusEnv) -> float:
-    return float(env.normalized_curve[env.position_index])
+def _climb(curve: list[float], start: int, coarse: int, budget: int) -> tuple[int, int]:
+    """One coarse-to-fine search over the curve; returns (end index, moves made).
 
-
-class _Climber:
-    """One hill-climb episode driven through the simulator.
-
-    Shape of the search: a fine probe fixes the uphill direction, a coarse
-    ascent rides it until the measure drops, one coarse back-up, then a
-    fine ascent with a single allowed reversal that terminates at its
-    first drop.  All measure readings come from the simulator, and the
-    climber knows the stage limits, so it never commands an out-of-range
-    move.  A budget guard spends the last allowed action on Terminate.
+    Shape of the search: a fine probe (one index) fixes the uphill
+    direction, a coarse ascent rides it until the measure drops, one
+    coarse back-up, then a fine ascent with a single allowed reversal that
+    ends at its first drop.  The climber knows the stage limits and makes
+    at most `budget` moves, one fewer than the episode's actions, so it
+    never leaves the range or runs out of steps: Terminate ends it.
     """
+    n = len(curve)
+    index, moves = start, 0
+    here = curve[index]
+    if n == 1 or budget < 1:
+        return index, moves
 
-    def __init__(self, env: AutofocusEnv):
-        self.env = env
-        self.fine = 1  # index steps per fine move; coarse is the ratio below
-        self.coarse = abs(
-            int(round(ACTION_DELTAS_RAD[Action.COARSE_POSITIVE] / env.cfg.stack.spacing))
-        )
-        # Signed index delta -> the first move action in code order that makes it.
-        self._action_for: dict[int, Action] = {}
-        for act, rad in ACTION_DELTAS_RAD.items():
-            if act is not Action.TERMINATE:
-                self._action_for.setdefault(int(round(rad / env.cfg.stack.spacing)), act)
+    # Fine probe: try positive first, mirrored at the upper edge.
+    sign = 1 if index + 1 < n else -1
+    index, moves = index + sign, moves + 1
+    if curve[index] > here:
+        direction, here = sign, curve[index]
+    else:
+        if moves >= budget:
+            return index, moves
+        index, moves = index - sign, moves + 1  # back to the start
+        here = curve[index]
+        direction = -sign
+        if moves >= budget or not 0 <= index + direction < n:
+            return index, moves
+        index, moves = index + direction, moves + 1
+        if curve[index] <= here:
+            # Downhill both ways: the start was the local maximum.
+            return index, moves
+        here = curve[index]
 
-    def _in_range(self, delta: int) -> bool:
-        return 0 <= self.env.position_index + delta < self.env.n_positions
+    # Coarse ascent.
+    leap = direction * coarse
+    while moves < budget and 0 <= index + leap < n:
+        index, moves = index + leap, moves + 1
+        if curve[index] > here:
+            here = curve[index]
+            continue
+        if moves >= budget:
+            return index, moves
+        index, moves = index - leap, moves + 1  # back up one coarse step
+        here = curve[index]
+        break
 
-    def _move(self, delta: int) -> float:
-        """Issue the move action for a signed index delta; returns new measure."""
-        act = self._action_for.get(delta)
-        if act is None:
-            raise ValueError(f"no action moves {delta} indices")
-        self.env.step(act)
-        return _measure(self.env)
-
-    def _out_of_budget(self) -> bool:
-        # Keep one action in hand for Terminate.
-        return self.env.steps_taken >= self.env.cfg.max_steps - 1
-
-    def run(self, start_index: int) -> tuple[EpisodeOutcome, int, float]:
-        env = self.env
-        env.reset_at(start_index)
-        here = _measure(env)
-        if env.n_positions == 1 or self._out_of_budget():
-            return self._terminate()
-
-        # Fine probe: try positive first, mirrored at the upper edge.
-        sign = 1 if self._in_range(self.fine) else -1
-        probed = self._move(sign * self.fine)
-        if probed > here:
-            direction, here = sign, probed
-        else:
-            if self._out_of_budget():
-                return self._terminate()
-            here = self._move(-sign * self.fine)  # back to the start
-            direction = -sign
-            if self._out_of_budget() or not self._in_range(direction * self.fine):
-                return self._terminate()
-            nxt = self._move(direction * self.fine)
-            if nxt <= here:
-                # Downhill both ways: the start was the local maximum.
-                return self._terminate()
-            here = nxt
-
-        # Coarse ascent.
-        while not self._out_of_budget() and self._in_range(direction * self.coarse):
-            nxt = self._move(direction * self.coarse)
-            if nxt > here:
-                here = nxt
-                continue
-            if self._out_of_budget():
-                return self._terminate()
-            here = self._move(-direction * self.coarse)  # back up one coarse step
-            break
-
-        # Fine ascent; the first drop may reverse once, the second ends it.
-        reversed_once = False
-        while not self._out_of_budget():
-            if not self._in_range(direction * self.fine):
-                if reversed_once:
-                    break
-                reversed_once = True
-                direction = -direction
-                continue
-            nxt = self._move(direction * self.fine)
-            if nxt > here:
-                here = nxt
-            elif reversed_once:
+    # Fine ascent; the first drop may reverse once, the second ends it.
+    reversed_once = False
+    while moves < budget:
+        if not 0 <= index + direction < n:
+            if reversed_once:
                 break
-            else:
-                reversed_once = True
-                direction = -direction
-        return self._terminate()
+            reversed_once = True
+            direction = -direction
+            continue
+        index, moves = index + direction, moves + 1
+        if curve[index] > here:
+            here = curve[index]
+        elif reversed_once:
+            break
+        else:
+            reversed_once = True
+            direction = -direction
+    return index, moves
 
-    def _terminate(self) -> tuple[EpisodeOutcome, int, float]:
-        env = self.env
-        env.step(Action.TERMINATE)
-        return env.outcome, env.steps_taken, _measure(env)
+
+def _climb_episodes(env: AutofocusEnv, starts) -> list[tuple[EpisodeOutcome, int, float]]:
+    """(outcome, actions, end focus) of the climb from each start, Terminate included."""
+    spacing = env.cfg.stack.spacing
+    fine, coarse = (int(round(ACTION_DELTAS_RAD[act] / spacing))
+                    for act in (Action.FINE_POSITIVE, Action.COARSE_POSITIVE))
+    curve = env.normalized_curve.tolist()
+    budget = env.cfg.max_steps - 1  # keep one action in hand for Terminate
+    episodes = []
+    for start in starts:
+        index, moves = _climb(curve, start, coarse, budget)
+        if moves and fine != 1:
+            raise ValueError(f"no action moves one index (the fine move is {fine})")
+        focus = curve[index]
+        outcome = (EpisodeOutcome.SUCCESS_TERMINATE if is_success(focus, env.cfg)
+                   else EpisodeOutcome.FAIL_TERMINATE_BLUR)
+        episodes.append((outcome, moves + 1, focus))
+    return episodes
 
 
 def hill_climb_episode(env: AutofocusEnv, start_index: int) -> tuple[EpisodeOutcome, int, float]:
     """Coarse-to-fine search from one start; (outcome, actions, end focus)."""
-    return _Climber(env).run(start_index)
+    if not 0 <= start_index < env.n_positions:
+        raise ValueError(f"start index {start_index} outside [0, {env.n_positions})")
+    return _climb_episodes(env, [start_index])[0]
 
 
 def hill_climb(env: AutofocusEnv) -> EvalReport:
     """Coarse-to-fine search from every start index."""
-    climber = _Climber(env)
-    return EvalReport.from_episodes([climber.run(i) for i in range(env.n_positions)])
+    return EvalReport.from_episodes(_climb_episodes(env, range(env.n_positions)))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ from focusrl import baselines, focus
 from focusrl.agent import EvalReport
 from focusrl.baselines import (
     TERMINAL_OUTCOMES,
-    _Climber,
     exhaustive_scan,
     greedy_policy_report,
     hill_climb,
@@ -33,6 +32,8 @@ from focusrl.env import (
     is_success,
     reward,
 )
+from focusrl.cli import load_config
+from focusrl.imaging import generate_stack, render_scene
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +50,38 @@ def tiny_q(tiny_mdp):
 # left-edge starts reach the plateau with one coarse move plus Terminate,
 # the nine in-region starts stop immediately, the rest need one move.
 TINY_MIN_STEPS = [2] * 4 + [1] * 9 + [2] * 8
+
+# The tiny and exp1 fixtures are the tiny and exp1 presets' stacks; exp2
+# and exp3 (its training view) are built from their presets here.
+STACKS = ["tiny_stack", "exp1_stack", "exp2_stack", "exp3_stack"]
+ENVS = ["tiny_env", "exp1_env", "exp2_env", "exp3_env"]
+BUDGETS = [1, 2, 3, 20]
+
+
+@pytest.fixture(scope="module")
+def exp2_stack():
+    return load_config("exp2")[0].stack.build()
+
+
+@pytest.fixture(scope="module")
+def exp3_stack():
+    return load_config("exp3")[0].stack.build()
+
+
+@pytest.fixture()
+def exp2_env(exp2_stack):
+    return AutofocusEnv(EnvConfig(stack=exp2_stack, net_input_size=16))
+
+
+@pytest.fixture()
+def exp3_env(exp3_stack):
+    return AutofocusEnv(EnvConfig(stack=exp3_stack, net_input_size=16))
+
+
+def _budgeted_envs(env):
+    """The env's stack at each of BUDGETS; small net frames, which no oracle reads."""
+    return [AutofocusEnv(dataclasses.replace(env.cfg, max_steps=max_steps, net_input_size=16))
+            for max_steps in BUDGETS]
 
 
 class TestDiscreteMdp:
@@ -139,7 +172,7 @@ class TestDiscreteMdp:
 
 
 def _looped_tables(stack, cfg):
-    """Reference: the tables built one decision point at a time."""
+    """Reference: the tables built one decision point at a time, one `reward` call each."""
     curve = stack.focus_values / stack.focus_max
     n = len(stack)
     n_states = n * cfg.max_steps + 1
@@ -148,6 +181,7 @@ def _looped_tables(stack, cfg):
     rewards = np.zeros((n_states, len(Action)), dtype=np.float64)
     done = np.ones((n_states, len(Action)), dtype=bool)
     outcome_code = np.full((n_states, len(Action)), -1, dtype=np.int64)
+    end_index = np.full((n_states, len(Action)), -1, dtype=np.int64)
     for steps in range(cfg.max_steps):
         for index in range(n):
             sid = steps * n + index
@@ -170,30 +204,42 @@ def _looped_tables(stack, cfg):
                         next_state[sid, act] = (steps + 1) * n + target
                         done[sid, act] = False
                 rewards[sid, act] = reward(float(curve[at]), out, cfg)
+                end_index[sid, act] = at
                 if out is not EpisodeOutcome.RUNNING:
                     outcome_code[sid, act] = TERMINAL_OUTCOMES.index(out)
-    return next_state, rewards, done, outcome_code
+    return next_state, rewards, done, outcome_code, end_index
+
+
+def _assert_tables_match_loop(stack, cfg):
+    mdp = mdp_from_stack(stack, cfg)
+    got = (mdp.next_state, mdp.rewards, mdp.done, mdp.outcome_code, mdp.end_index)
+    for have, want in zip(got, _looped_tables(stack, cfg), strict=True):
+        assert have.dtype == want.dtype and have.shape == want.shape
+        assert have.tobytes() == want.tobytes()
 
 
 class TestTablesMatchLoop:
-    @pytest.mark.parametrize("max_steps", [1, 2, 20])
-    @pytest.mark.parametrize("which", ["tiny_stack", "exp1_stack"])
+    @pytest.mark.parametrize("max_steps", BUDGETS)
+    @pytest.mark.parametrize("which", STACKS)
     def test_bitwise(self, request, which, max_steps):
         stack = request.getfixturevalue(which)
-        cfg = EnvConfig(stack=stack, max_steps=max_steps)
-        mdp = mdp_from_stack(stack, cfg)
-        got = (mdp.next_state, mdp.rewards, mdp.done, mdp.outcome_code)
-        for have, want in zip(got, _looped_tables(stack, cfg)):
-            assert have.dtype == want.dtype and have.shape == want.shape
-            assert have.tobytes() == want.tobytes()
+        _assert_tables_match_loop(stack, EnvConfig(stack=stack, max_steps=max_steps))
+
+    def test_bitwise_without_shaping(self, tiny_stack):
+        # With reward_coeff 0 the shaping term is -0.0 below the peak, and
+        # the tables must keep that sign as `reward` does.
+        _assert_tables_match_loop(tiny_stack, EnvConfig(stack=tiny_stack, max_steps=3,
+                                                        reward_coeff=0))
 
     def test_keeps_reward_range_check(self, tiny_stack):
-        # A negative focus value normalises to below 0.
-        values = tiny_stack.focus_values.copy()
-        values[0] = -1.0
-        bad = dataclasses.replace(tiny_stack, focus_values=values)
-        with pytest.raises(ValueError, match="outside"):
-            mdp_from_stack(bad)
+        # A negative focus value normalises to below 0, at either end of
+        # the curve; NaN is in no range.
+        for where, value in ((0, -1.0), (-1, -1.0), (0, np.nan)):
+            values = tiny_stack.focus_values.copy()
+            values[where] = value
+            bad = dataclasses.replace(tiny_stack, focus_values=values)
+            with pytest.raises(ValueError, match="outside"):
+                mdp_from_stack(bad)
 
 
 def _iterated_q(mdp, gamma, tol=1e-9):
@@ -250,15 +296,178 @@ def _stepwise_greedy_report(q_table, mdp, env):
     return EvalReport.from_episodes(episodes)
 
 
-class _ScanningClimber(_Climber):
-    """Reference: the climber that finds each move's action by scanning the deltas."""
+class _Climber:
+    """Reference: the hill climb driven through the simulator, one `env.step` per move.
+
+    Shape of the search: a fine probe fixes the uphill direction, a coarse
+    ascent rides it until the measure drops, one coarse back-up, then a
+    fine ascent with a single allowed reversal that terminates at its
+    first drop.  All measure readings come from the simulator, and the
+    climber knows the stage limits, so it never commands an out-of-range
+    move.  A budget guard spends the last allowed action on Terminate.
+    """
+
+    def __init__(self, env: AutofocusEnv):
+        self.env = env
+        self.fine = 1  # index steps per fine move; coarse is the ratio below
+        self.coarse = abs(
+            int(round(ACTION_DELTAS_RAD[Action.COARSE_POSITIVE] / env.cfg.stack.spacing))
+        )
+
+    def _measure(self):
+        return float(self.env.normalized_curve[self.env.position_index])
+
+    def _in_range(self, delta):
+        return 0 <= self.env.position_index + delta < self.env.n_positions
 
     def _move(self, delta):
+        """Issue the first move action in code order that makes `delta`; returns the new measure."""
         for act, rad in ACTION_DELTAS_RAD.items():
             if act is not Action.TERMINATE and int(round(rad / self.env.cfg.stack.spacing)) == delta:
                 self.env.step(act)
-                return float(self.env.normalized_curve[self.env.position_index])
+                return self._measure()
         raise ValueError(f"no action moves {delta} indices")
+
+    def _out_of_budget(self):
+        # Keep one action in hand for Terminate.
+        return self.env.steps_taken >= self.env.cfg.max_steps - 1
+
+    def run(self, start_index):
+        env = self.env
+        env.reset_at(start_index)
+        here = self._measure()
+        if env.n_positions == 1 or self._out_of_budget():
+            return self._terminate()
+
+        # Fine probe: try positive first, mirrored at the upper edge.
+        sign = 1 if self._in_range(self.fine) else -1
+        probed = self._move(sign * self.fine)
+        if probed > here:
+            direction, here = sign, probed
+        else:
+            if self._out_of_budget():
+                return self._terminate()
+            here = self._move(-sign * self.fine)  # back to the start
+            direction = -sign
+            if self._out_of_budget() or not self._in_range(direction * self.fine):
+                return self._terminate()
+            nxt = self._move(direction * self.fine)
+            if nxt <= here:
+                return self._terminate()
+            here = nxt
+
+        # Coarse ascent.
+        while not self._out_of_budget() and self._in_range(direction * self.coarse):
+            nxt = self._move(direction * self.coarse)
+            if nxt > here:
+                here = nxt
+                continue
+            if self._out_of_budget():
+                return self._terminate()
+            here = self._move(-direction * self.coarse)  # back up one coarse step
+            break
+
+        # Fine ascent; the first drop may reverse once, the second ends it.
+        reversed_once = False
+        while not self._out_of_budget():
+            if not self._in_range(direction * self.fine):
+                if reversed_once:
+                    break
+                reversed_once = True
+                direction = -direction
+                continue
+            nxt = self._move(direction * self.fine)
+            if nxt > here:
+                here = nxt
+            elif reversed_once:
+                break
+            else:
+                reversed_once = True
+                direction = -direction
+        return self._terminate()
+
+    def _terminate(self):
+        self.env.step(Action.TERMINATE)
+        return self.env.outcome, self.env.steps_taken, self._measure()
+
+
+def _random_q(mdp, seed):
+    """An integer-valued Q-table: many ties, and moves that leave the range or the budget."""
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, 3, size=(mdp.n_states, len(Action))).astype(np.float64)
+
+
+class TestOraclesMatchSimulator:
+    """The tables, the rollout and the climber on inputs the bundled stacks do not give."""
+
+    @pytest.mark.parametrize("max_steps", BUDGETS)
+    def test_curves_with_ties(self, tiny_stack, max_steps):
+        # Curves of 8, 9 and 10 (a 10 last, so 9 normalises to exactly 0.9)
+        # give equal neighbours, which the stacks' own curves rarely do, and
+        # positions exactly at the 0.9 success ratio.
+        rng = np.random.default_rng(max_steps)
+        for _ in range(20):
+            values = rng.integers(8, 11, size=len(tiny_stack)).astype(np.float64)
+            values[-1] = 10.0
+            stack = dataclasses.replace(tiny_stack, focus_values=values)
+            env = AutofocusEnv(EnvConfig(stack=stack, max_steps=max_steps, net_input_size=16))
+            reference = _Climber(env)
+            want = [reference.run(start) for start in range(env.n_positions)]
+            assert [hill_climb_episode(env, start) for start in range(env.n_positions)] == want
+            _assert_tables_match_loop(stack, env.cfg)
+            mdp = mdp_from_stack(stack, env.cfg)
+            q = value_iteration(mdp, 0.9)
+            assert greedy_policy_report(q, mdp, env) == _stepwise_greedy_report(q, mdp, env)
+
+    def test_random_tables_reach_every_ending(self, exp2_env):
+        # The random Q-tables of the rollout test bring every kind of ending.
+        counts = {}
+        for env in _budgeted_envs(exp2_env):
+            mdp = mdp_from_stack(env.cfg.stack, env.cfg)
+            for seed in range(3):
+                report = _stepwise_greedy_report(_random_q(mdp, seed), mdp, env)
+                for outcome, count in report.outcome_counts.items():
+                    counts[outcome] = counts.get(outcome, 0) + count
+        assert all(counts[outcome.value] > 0 for outcome in TERMINAL_OUTCOMES)
+
+    def test_no_simulator_steps(self, tiny_stack, monkeypatch):
+        env = AutofocusEnv(EnvConfig(stack=tiny_stack, net_input_size=16))
+        calls = []
+        for name in ("step", "reset_at"):
+            method = getattr(AutofocusEnv, name)
+
+            def counted(self, *args, _method=method, _name=name):
+                calls.append(_name)
+                return _method(self, *args)
+
+            monkeypatch.setattr(AutofocusEnv, name, counted)
+        mdp = mdp_from_stack(tiny_stack, env.cfg)
+        greedy_policy_report(value_iteration(mdp, 0.9), mdp, env)
+        hill_climb(env)
+        hill_climb_episode(env, 0)
+        exhaustive_scan(tiny_stack)
+        assert calls == []
+        env.reset_at(0)
+        env.step(Action.TERMINATE)
+        assert calls == ["reset_at", "step"]
+
+
+class TestGreedyReportChecks:
+    def test_rejects_a_q_table_of_the_wrong_shape(self, tiny_mdp, tiny_q, tiny_env):
+        with pytest.raises(ValueError, match="Q-table shape"):
+            greedy_policy_report(tiny_q[:10], tiny_mdp, tiny_env)
+        with pytest.raises(ValueError, match="Q-table shape"):
+            greedy_policy_report(tiny_q[:, :4], tiny_mdp, tiny_env)
+
+    def test_rejects_an_env_of_another_stack(self, exp1_stack, tiny_env):
+        mdp = mdp_from_stack(exp1_stack)
+        with pytest.raises(ValueError, match="131 and 20"):
+            greedy_policy_report(value_iteration(mdp, 0.9), mdp, tiny_env)
+
+    def test_rejects_an_env_of_another_budget(self, tiny_mdp, tiny_q, tiny_stack):
+        env = AutofocusEnv(EnvConfig(stack=tiny_stack, max_steps=5, net_input_size=16))
+        with pytest.raises(ValueError, match="5 steps"):
+            greedy_policy_report(tiny_q, tiny_mdp, env)
 
 
 class TestValueIteration:
@@ -294,12 +503,14 @@ class TestValueIteration:
         with pytest.raises(ValueError, match="running transition"):
             value_iteration(bad, 0.99)
 
-    @pytest.mark.parametrize("which", ["tiny_env", "exp1_env"])
+    @pytest.mark.parametrize("which", ENVS)
     def test_greedy_report_equals_stepwise_rollout(self, request, which):
-        env = request.getfixturevalue(which)
-        mdp = mdp_from_stack(env.cfg.stack, env.cfg)
-        q = value_iteration(mdp, 0.9)
-        assert greedy_policy_report(q, mdp, env) == _stepwise_greedy_report(q, mdp, env)
+        # From every start, at every budget, for the optimal table and for
+        # random ones, which bring ties and every kind of ending.
+        for env in _budgeted_envs(request.getfixturevalue(which)):
+            mdp = mdp_from_stack(env.cfg.stack, env.cfg)
+            for q in [value_iteration(mdp, 0.9)] + [_random_q(mdp, seed) for seed in range(3)]:
+                assert greedy_policy_report(q, mdp, env) == _stepwise_greedy_report(q, mdp, env)
 
     def test_greedy_solves_every_start(self, tiny_mdp, tiny_q, tiny_env):
         report = greedy_policy_report(tiny_q, tiny_mdp, tiny_env)
@@ -340,13 +551,31 @@ class TestValueIteration:
 
 
 class TestHillClimb:
-    @pytest.mark.parametrize("which", ["tiny_env", "exp1_env"])
+    @pytest.mark.parametrize("which", ENVS)
     def test_equals_scanning_climber(self, request, which):
-        env = request.getfixturevalue(which)
-        want = EvalReport.from_episodes(
-            [_ScanningClimber(env).run(i) for i in range(env.n_positions)]
-        )
-        assert hill_climb(env) == want
+        # Episode by episode, from every start, at every budget.
+        for env in _budgeted_envs(request.getfixturevalue(which)):
+            reference = _Climber(env)
+            want = [reference.run(start) for start in range(env.n_positions)]
+            assert [hill_climb_episode(env, start) for start in range(env.n_positions)] == want
+            assert hill_climb(env) == EvalReport.from_episodes(want)
+
+    def test_rejects_a_start_outside_the_stack(self, tiny_env):
+        with pytest.raises(ValueError, match="start index 21"):
+            hill_climb_episode(tiny_env, 21)
+
+    def test_needs_a_one_index_fine_move(self):
+        # At 0.1 rad spacing the fine move is 3 indices, so the climber's
+        # one-index moves have no action, as in the reference.
+        stack = generate_stack(render_scene(seed=3, width=32, height=32), z_min=30.0,
+                               z_max=33.0, spacing=0.1, z_star=31.0, blur_gain=0.5)
+        env = AutofocusEnv(EnvConfig(stack=stack, net_input_size=16))
+        for climb in (hill_climb, lambda env: _Climber(env).run(0)):
+            with pytest.raises(ValueError, match="no action moves"):
+                climb(env)
+        # With one action there is no move to make: both stop where they start.
+        env = AutofocusEnv(EnvConfig(stack=stack, max_steps=1, net_input_size=16))
+        assert hill_climb_episode(env, 4) == _Climber(env).run(4)
 
     def test_peak_start_probes_then_stops(self, tiny_env):
         # From the peak both fine probes read downhill, so the climber

@@ -41,13 +41,23 @@ def test_patched_name_resolves(module_name, target):
 
 
 def test_entry_points_keep_their_signatures():
-    from focusrl import agent
+    from focusrl import agent, baselines
 
     train = inspect.signature(agent.train).parameters
     assert list(train)[:5] == ["env", "hyper", "arch", "rng", "out_dir"]
     assert train["eval_threads"].default == 1
     assert "progress" in train
     assert list(inspect.signature(agent.evaluate).parameters) == ["params", "arch", "env"]
+    # The oracle operation and `focusrl baseline` call these by position.
+    oracles = {
+        baselines.mdp_from_stack: ["stack", "cfg"],
+        baselines.value_iteration: ["mdp", "gamma"],
+        baselines.greedy_policy_report: ["q_table", "mdp", "env"],
+        baselines.hill_climb: ["env"],
+        baselines.exhaustive_scan: ["stack"],
+    }
+    for oracle, params in oracles.items():
+        assert list(inspect.signature(oracle).parameters) == params, oracle.__name__
 
 
 def test_forward_keeps_what_the_tracer_reads():

@@ -266,7 +266,7 @@ class TestTrain:
 
     def test_one_env_serves_training_evaluation_and_the_oracle(self, mini_config, tmp_path,
                                                                 monkeypatch):
-        # Evaluation and the oracle run on copies that share its frames.
+        # Evaluation runs on a copy that shares its frames; the oracle only reads it.
         built = []
         init = AutofocusEnv.__init__
 
@@ -430,11 +430,10 @@ class TestBaseline:
         assert payload["accuracy"] == 1.0
         assert payload["avg_steps"] < 3.0
 
-    def test_value_iteration_without_train_section_uses_default_gamma(
-        self, mini_stack_dir, tmp_path, monkeypatch
-    ):
-        doc = {key: value for key, value in MINI.items() if key != "train"}
-        path = tmp_path / "no_train.json"
+    @staticmethod
+    def _gammas_used(doc, stack_dir, tmp_path, monkeypatch):
+        """Run `baseline value-iteration` on `doc`; its exit code and the γ it solved with."""
+        path = tmp_path / "vi.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         solve = baselines.value_iteration
         used = []
@@ -444,9 +443,31 @@ class TestBaseline:
             return solve(mdp, gamma, *args, **kwargs)
 
         monkeypatch.setattr(baselines, "value_iteration", spy)
-        code = main(["baseline", "value-iteration", "--config", str(path), "--stack", mini_stack_dir])
-        assert code == 0
-        assert used == [Hyperparams.gamma]
+        code = main(["baseline", "value-iteration", "--config", str(path), "--stack", stack_dir])
+        return code, used
+
+    def test_value_iteration_without_train_section_uses_default_gamma(
+        self, mini_stack_dir, tmp_path, monkeypatch
+    ):
+        doc = {key: value for key, value in MINI.items() if key != "train"}
+        assert self._gammas_used(doc, mini_stack_dir, tmp_path, monkeypatch) == (
+            0, [Hyperparams.gamma])
+
+    @pytest.mark.parametrize("train", [{"gamma": 0.5}, {"gamma": 0.5, "total_timesteps": 300}],
+                             ids=["without_length", "with_length"])
+    def test_value_iteration_uses_the_configs_gamma(self, train, mini_stack_dir, tmp_path,
+                                                    monkeypatch):
+        doc = dict(MINI, train=train)
+        assert self._gammas_used(doc, mini_stack_dir, tmp_path, monkeypatch) == (0, [0.5])
+
+    @pytest.mark.parametrize("train", [{"gamma": 7}, {"gamma": 7, "total_timesteps": 300}],
+                             ids=["without_length", "with_length"])
+    def test_value_iteration_rejects_a_gamma_outside_the_unit_interval(
+        self, train, mini_stack_dir, tmp_path, monkeypatch, capsys
+    ):
+        doc = dict(MINI, train=train)
+        assert self._gammas_used(doc, mini_stack_dir, tmp_path, monkeypatch) == (2, [])
+        assert "gamma must be in (0, 1), got 7" in capsys.readouterr().err
 
 
 class TestWriteJson:
