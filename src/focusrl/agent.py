@@ -17,9 +17,8 @@ import copy
 import csv
 from dataclasses import dataclass
 import json
-import math
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, ClassVar, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,7 +29,7 @@ from focusrl.env import (
     EpisodeOutcome,
     StateSeq,
     Transition,
-    check_real_fields,
+    check_number_fields,
 )
 from focusrl.fileio import atomic_open
 from focusrl.net import (
@@ -52,37 +51,29 @@ LOG_HEADER = ("timestep", "loss", "epsilon", "eval_accuracy", "eval_avg_steps")
 
 @dataclass(frozen=True)
 class Hyperparams:
+    """The run's length, discount and intervals; exploration, replay and the optimiser are fixed."""
+
+    epsilon_start: ClassVar[float] = 1.0
+    epsilon_end: ClassVar[float] = 0.1
+    epsilon_fraction: ClassVar[float] = 0.5
+    replay_capacity: ClassVar[int] = 10_000
+    batch_size: ClassVar[int] = 32
+    learning_rate: ClassVar[float] = 1e-4
+
     total_timesteps: int
     # 0.9, not 0.99: at the peak Q*(terminate) = 100 while a fine move
     # bootstraps to at most gamma * 100, so gamma sets the margin the
     # greedy choice rests on (1 at 0.99, 10 at 0.9).
     gamma: float = 0.9
-    epsilon_start: float = 1.0
-    epsilon_end: float = 0.1
-    epsilon_fraction: float = 0.5
-    replay_capacity: int = 10_000
-    batch_size: int = 32
-    learning_rate: float = 1e-4
     target_sync: int = 1_000
     learn_start: int = 1_000
     eval_interval: int = 1_000
 
     def __post_init__(self):
-        check_real_fields(self)
+        check_number_fields(self)
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must be in (0, 1), got {self.gamma}")
-        for name in ("epsilon_start", "epsilon_end"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
-        if not 0.0 < self.learning_rate < math.inf:
-            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
-        if not 0.0 < self.epsilon_fraction <= 1.0:
-            raise ValueError(f"epsilon_fraction must be in (0, 1], got {self.epsilon_fraction}")
-        if self.replay_capacity < self.batch_size:
-            raise ValueError("replay capacity must be at least the batch size")
-        if min(self.total_timesteps, self.batch_size, self.target_sync,
-               self.learn_start, self.eval_interval) < 1:
+        if min(self.total_timesteps, self.target_sync, self.learn_start, self.eval_interval) < 1:
             raise ValueError("counts and intervals must be positive")
 
 
@@ -160,11 +151,10 @@ class Adam:
     always been 0, such as a running statistic, steps by exactly 0.
     """
 
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._state: tuple[np.ndarray, ...] | None = None
 

@@ -181,36 +181,37 @@ def greedy_policy_report(q_table: np.ndarray, mdp: DiscreteMdp, env: AutofocusEn
 # -- classical hill climb ------------------------------------------------
 
 
-def _climb(curve: list[float], start: int, coarse: int, budget: int) -> tuple[int, int]:
+def _climb(curve: list[float], start: int, fine: int, coarse: int, budget: int) -> tuple[int, int]:
     """One coarse-to-fine search over the curve; returns (end index, moves made).
 
-    Shape of the search: a fine probe (one index) fixes the uphill
-    direction, a coarse ascent rides it until the measure drops, one
-    coarse back-up, then a fine ascent with a single allowed reversal that
-    ends at its first drop.  The climber knows the stage limits and makes
-    at most `budget` moves, one fewer than the episode's actions, so it
-    never leaves the range or runs out of steps: Terminate ends it.
+    Shape of the search: a fine probe fixes the uphill direction, a coarse
+    ascent rides it until the measure drops, one coarse back-up, then a
+    fine ascent with a single allowed reversal that ends at its first drop.
+    `fine` and `coarse` are the index steps of the two moves.  The climber
+    knows the stage limits and makes at most `budget` moves, one fewer than
+    the episode's actions, so it never leaves the range or runs out of
+    steps: Terminate ends it.
     """
     n = len(curve)
     index, moves = start, 0
     here = curve[index]
-    if n == 1 or budget < 1:
+    if budget < 1 or not (index + fine < n or index >= fine):
         return index, moves
 
     # Fine probe: try positive first, mirrored at the upper edge.
-    sign = 1 if index + 1 < n else -1
-    index, moves = index + sign, moves + 1
+    sign = 1 if index + fine < n else -1
+    index, moves = index + sign * fine, moves + 1
     if curve[index] > here:
         direction, here = sign, curve[index]
     else:
         if moves >= budget:
             return index, moves
-        index, moves = index - sign, moves + 1  # back to the start
+        index, moves = index - sign * fine, moves + 1  # back to the start
         here = curve[index]
         direction = -sign
-        if moves >= budget or not 0 <= index + direction < n:
+        if moves >= budget or not 0 <= index + direction * fine < n:
             return index, moves
-        index, moves = index + direction, moves + 1
+        index, moves = index + direction * fine, moves + 1
         if curve[index] <= here:
             # Downhill both ways: the start was the local maximum.
             return index, moves
@@ -231,21 +232,22 @@ def _climb(curve: list[float], start: int, coarse: int, budget: int) -> tuple[in
 
     # Fine ascent; the first drop may reverse once, the second ends it.
     reversed_once = False
+    step = direction * fine
     while moves < budget:
-        if not 0 <= index + direction < n:
+        if not 0 <= index + step < n:
             if reversed_once:
                 break
             reversed_once = True
-            direction = -direction
+            step = -step
             continue
-        index, moves = index + direction, moves + 1
+        index, moves = index + step, moves + 1
         if curve[index] > here:
             here = curve[index]
         elif reversed_once:
             break
         else:
             reversed_once = True
-            direction = -direction
+            step = -step
     return index, moves
 
 
@@ -258,9 +260,7 @@ def _climb_episodes(env: AutofocusEnv, starts) -> list[tuple[EpisodeOutcome, int
     budget = env.cfg.max_steps - 1  # keep one action in hand for Terminate
     episodes = []
     for start in starts:
-        index, moves = _climb(curve, start, coarse, budget)
-        if moves and fine != 1:
-            raise ValueError(f"no action moves one index (the fine move is {fine})")
+        index, moves = _climb(curve, start, fine, coarse, budget)
         focus = curve[index]
         outcome = (EpisodeOutcome.SUCCESS_TERMINATE if is_success(focus, env.cfg)
                    else EpisodeOutcome.FAIL_TERMINATE_BLUR)

@@ -95,12 +95,9 @@ class StackSource:
                 raise ConfigError(f"{where} needs '{key}' (or a 'path')")
         return cls(gen=dict(section))
 
-    def build(self, base_dir: Path | None = None) -> FocalStack:
+    def build(self) -> FocalStack:
         if self.path is not None:
-            path = Path(self.path)
-            if base_dir is not None and not path.is_absolute():
-                path = base_dir / path
-            return load_stack(path)
+            return load_stack(self.path)
         return _generate_from_args(self.gen or {})
 
 
@@ -117,15 +114,10 @@ def _generate_from_args(args: dict) -> FocalStack:
         y = int(args.get("crop_y", 0))
         content = crop(scene.content, x, y, width, height)
         scene = dataclasses.replace(scene, width=width, height=height, content=content)
-    return generate_stack(
-        scene,
-        z_min=float(args["z_min"]),
-        z_max=float(args["z_max"]),
-        spacing=float(args["spacing"]),
-        z_star=float(args["z_star"]),
-        blur_gain=float(args.get("blur_gain", 0.5)),
-        view_id=args.get("view_id"),
-    )
+    # `generate_stack` holds the one blur_gain default.
+    geometry = {key: float(args[key])
+                for key in ("z_min", "z_max", "spacing", "z_star", "blur_gain") if key in args}
+    return generate_stack(scene, **geometry, view_id=args.get("view_id"))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -146,6 +138,9 @@ class RunConfig:
         _check_keys(doc, cls.TOP_KEYS, "config")
         if "seed" not in doc:
             raise ConfigError("config needs a 'seed'")
+        seed = doc["seed"]
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise ConfigError(f"seed must be an integer, got {seed!r}")
         if "stack" not in doc:
             raise ConfigError("config needs a 'stack' section")
         # The env renders at the net's input size, `net.input_size`.
@@ -158,7 +153,7 @@ class RunConfig:
             for name, sub in doc.get("test_stacks", {}).items()
         }
         return cls(
-            seed=int(doc["seed"]),
+            seed=seed,
             stack=StackSource.parse(doc["stack"], "stack"),
             env=env,
             net=net,

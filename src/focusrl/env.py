@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass, fields
 from enum import Enum, IntEnum
+from typing import ClassVar
 
 import numpy as np
 
@@ -93,36 +94,40 @@ class StateSeq(namedtuple("StateSeq", ("positions", "action_codes"))):
         return tuple.__new__(cls, (tuple(positions), tuple(action_codes)))
 
 
-def is_real(value) -> bool:
-    """An int or a float, not a bool: what a numeric setting must be."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def check_number_fields(config) -> None:
+    """Reject a dataclass whose `int` or `float` fields hold anything else.
 
-
-def check_real_fields(config, skip: tuple[str, ...] = ()) -> None:
-    """Reject a dataclass whose fields, apart from `skip`, are not all real numbers."""
+    An `int` field needs an int and a `float` field an int or a float; a
+    bool is neither.  A field's type is its annotation's name, which
+    postponed annotations keep as a string.
+    """
     for field in fields(config):
+        kind = getattr(field.type, "__name__", field.type)
+        if kind not in ("int", "float"):
+            continue
         value = getattr(config, field.name)
-        if field.name not in skip and not is_real(value):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"{field.name} must be a number, got {value!r}")
+        if kind == "int" and not isinstance(value, int):
+            raise ValueError(f"{field.name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
 class EnvConfig:
+    """The stack, the episode length and the render size; the reward scheme is fixed."""
+
+    success_ratio: ClassVar[float] = 0.9
+    reward_coeff: ClassVar[float] = 10.0
+    bonus_magnitude: ClassVar[float] = 100.0
+
     stack: FocalStack
     max_steps: int = 20
-    success_ratio: float = 0.9
-    reward_coeff: float = 10.0
-    bonus_magnitude: float = 100.0
     net_input_size: int = 64
 
     def __post_init__(self):
-        check_real_fields(self, skip=("stack",))
+        check_number_fields(self)
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be positive, got {self.max_steps}")
-        if not 0.0 < self.success_ratio < 1.0:
-            raise ValueError(f"success_ratio must be in (0, 1), got {self.success_ratio}")
-        if self.bonus_magnitude <= 0 or self.reward_coeff < 0:
-            raise ValueError("bonus_magnitude must be positive and reward_coeff non-negative")
         if self.net_input_size < 16:
             raise ValueError(f"net_input_size too small: {self.net_input_size}")
 

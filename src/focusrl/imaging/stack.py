@@ -88,7 +88,7 @@ def generate_stack(
     z_max: float,
     spacing: float,
     z_star: float,
-    blur_gain: float = 0.35,
+    blur_gain: float = 0.5,
     view_id: str | None = None,
 ) -> FocalStack:
     """Blur a scene into a focal stack.

@@ -23,7 +23,7 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from focusrl.env import ACTION_HISTORY, NULL_ACTION_CODE, Action, is_real
+from focusrl.env import ACTION_HISTORY, NULL_ACTION_CODE, Action
 from focusrl.fileio import atomic_open
 
 CHECKPOINT_MAGIC = b"FRLQ"
@@ -43,29 +43,31 @@ class NetArch:
     """Shape of the Q-network.  The default is the reference configuration.
 
     The env fixes the history, the action codes (five actions and the
-    padding code) and so the outputs; they are constants, not fields.
+    padding code) and so the outputs; those, the kernel size and the batch
+    norm constants are constants, not fields.
     """
 
     history: ClassVar[int] = ACTION_HISTORY
     action_vocab: ClassVar[int] = NULL_ACTION_CODE + 1
     n_actions: ClassVar[int] = len(Action)
-    _FIXED: ClassVar[tuple[str, ...]] = ("history", "action_vocab", "n_actions")
+    kernel_size: ClassVar[int] = 5
+    bn_momentum: ClassVar[float] = 0.99
+    bn_eps: ClassVar[float] = 1e-5
+    _FIXED: ClassVar[tuple[str, ...]] = (
+        "history", "action_vocab", "n_actions", "kernel_size", "bn_momentum", "bn_eps")
 
     input_size: int = 64
     conv_channels: tuple[int, int, int, int] = (8, 16, 32, 64)
     reduce_channels: int = 32
     embed_dim: int = 512
     fc_width: int = 256
-    kernel_size: int = 5
-    bn_momentum: float = 0.99
-    bn_eps: float = 1e-5
 
     def __post_init__(self):
         if len(self.conv_channels) != 4:
             raise ValueError("expected exactly four conv stages")
         sizes = (
             self.input_size, *self.conv_channels, self.reduce_channels, self.embed_dim,
-            self.fc_width, self.kernel_size,
+            self.fc_width,
         )
         if any(type(size) is not int or size < 1 for size in sizes):
             raise ValueError(f"sizes and counts must be positive integers, got {sizes}")
@@ -73,12 +75,6 @@ class NetArch:
             raise ValueError(
                 f"input_size must be a positive multiple of 16, got {self.input_size}"
             )
-        if self.kernel_size % 2 != 1:
-            raise ValueError("kernel_size must be odd for same-size convolution")
-        if not (is_real(self.bn_momentum) and 0.0 <= self.bn_momentum < 1.0):
-            raise ValueError(f"bn_momentum must be a real number in [0, 1), got {self.bn_momentum!r}")
-        if not (is_real(self.bn_eps) and 0.0 < self.bn_eps < math.inf):
-            raise ValueError(f"bn_eps must be a finite real number > 0, got {self.bn_eps!r}")
 
     @property
     def final_map_size(self) -> int:
@@ -113,9 +109,9 @@ class NetArch:
     def from_dict(cls, data: dict) -> "NetArch":
         data = dict(data)
         for name in cls._FIXED:
-            value = data.pop(name)
-            if type(value) is not int or value != getattr(cls, name):
-                raise ValueError(f"{name} is fixed at {getattr(cls, name)}, got {value!r}")
+            value, fixed = data.pop(name), getattr(cls, name)
+            if type(value) is not type(fixed) or value != fixed:
+                raise ValueError(f"{name} is fixed at {fixed!r}, got {value!r}")
         data["conv_channels"] = tuple(data["conv_channels"])
         return cls(**data)
 

@@ -115,28 +115,26 @@ class TestHyperparams:
         with pytest.raises(ValueError):
             Hyperparams(total_timesteps=100, gamma=0.0)
         with pytest.raises(ValueError):
-            Hyperparams(total_timesteps=100, epsilon_start=1.5)
-        with pytest.raises(ValueError):
-            Hyperparams(total_timesteps=100, epsilon_fraction=0.0)
-        with pytest.raises(ValueError):
-            Hyperparams(total_timesteps=100, replay_capacity=8, batch_size=16)
-        with pytest.raises(ValueError):
             Hyperparams(total_timesteps=0)
+        with pytest.raises(ValueError):
+            Hyperparams(total_timesteps=100, target_sync=0)
 
-    @pytest.mark.parametrize("lr", [0.0, -1e-4, float("nan"), float("inf")])
-    def test_rejects_a_learning_rate_that_is_not_finite_and_positive(self, lr):
-        with pytest.raises(ValueError, match="learning_rate"):
-            Hyperparams(total_timesteps=100, learning_rate=lr)
-
-    @pytest.mark.parametrize("key,value", [("gamma", "0.9"), ("gamma", True), ("batch_size", None),
-                                           ("learning_rate", [1e-4]), ("total_timesteps", "100")])
+    @pytest.mark.parametrize("key,value", [("gamma", "0.9"), ("gamma", True),
+                                           ("total_timesteps", "100")])
     def test_rejects_a_value_that_is_not_a_number(self, key, value):
         with pytest.raises(ValueError, match=key):
             Hyperparams(**dict({"total_timesteps": 100}, **{key: value}))
 
+    @pytest.mark.parametrize("key,value", [("total_timesteps", 50.5), ("total_timesteps", 100.0),
+                                           ("target_sync", 10.5), ("learn_start", 1e3),
+                                           ("eval_interval", 2.5)])
+    def test_rejects_a_count_that_is_not_an_integer(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            Hyperparams(**dict({"total_timesteps": 100}, **{key: value}))
+
     @pytest.mark.parametrize("field", ["adam_beta1", "adam_beta2", "adam_eps"])
     def test_adam_constants_are_not_settings(self, field):
-        # The learner's Adam runs at the constants `Adam` defaults to.
+        # The learner's Adam runs at its class constants.
         with pytest.raises(TypeError):
             Hyperparams(total_timesteps=100, **{field: 0.5})
 
@@ -301,7 +299,8 @@ class TestColumnsMatchTheObjectReferences:
 class TestAdam:
     def test_matches_reference_formula(self):
         lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
-        opt = Adam(lr, b1, b2, eps)
+        assert (Adam.beta1, Adam.beta2, Adam.eps) == (b1, b2, eps)
+        opt = Adam(lr)
         params = np.array([1.0, -2.0], dtype=np.float64)
         ref = params.copy()
         m = np.zeros(2)
@@ -322,14 +321,14 @@ class TestAdam:
         # fresh temporaries per element, compared by bytes.  Parameters
         # start at zero so that they are the size of the steps, and a last
         # bit of a step does not round away.
-        lr, b1, b2, eps = 1e-4, 0.9, 0.999, 1e-8
+        lr, b1, b2, eps = 1e-4, Adam.beta1, Adam.beta2, Adam.eps
         rng = np.random.default_rng(4)
         size = 7 * 5 + 5 + 3 * 2 * 5 * 5
         params = np.zeros(size, dtype=np.float32)
         ref = params.copy()
         m = np.zeros_like(params)
         v = np.zeros_like(params)
-        opt = Adam(lr, b1, b2, eps)
+        opt = Adam(lr)
         for t in range(1, 6):
             grad = rng.standard_normal(size).astype(np.float32)
             opt.step(params, grad.copy())
@@ -811,8 +810,6 @@ class TestEvaluate:
 
 class TestTrain:
     HYPER = dict(
-        replay_capacity=256,
-        batch_size=16,
         target_sync=50,
         learn_start=60,
         eval_interval=100,

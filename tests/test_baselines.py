@@ -225,11 +225,11 @@ class TestTablesMatchLoop:
         stack = request.getfixturevalue(which)
         _assert_tables_match_loop(stack, EnvConfig(stack=stack, max_steps=max_steps))
 
-    def test_bitwise_without_shaping(self, tiny_stack):
+    def test_bitwise_without_shaping(self, tiny_stack, monkeypatch):
         # With reward_coeff 0 the shaping term is -0.0 below the peak, and
         # the tables must keep that sign as `reward` does.
-        _assert_tables_match_loop(tiny_stack, EnvConfig(stack=tiny_stack, max_steps=3,
-                                                        reward_coeff=0))
+        monkeypatch.setattr(EnvConfig, "reward_coeff", 0)
+        _assert_tables_match_loop(tiny_stack, EnvConfig(stack=tiny_stack, max_steps=3))
 
     def test_keeps_reward_range_check(self, tiny_stack):
         # A negative focus value normalises to below 0, at either end of
@@ -309,9 +309,10 @@ class _Climber:
 
     def __init__(self, env: AutofocusEnv):
         self.env = env
-        self.fine = 1  # index steps per fine move; coarse is the ratio below
-        self.coarse = abs(
-            int(round(ACTION_DELTAS_RAD[Action.COARSE_POSITIVE] / env.cfg.stack.spacing))
+        # Index steps per fine and per coarse move.
+        self.fine, self.coarse = (
+            abs(int(round(ACTION_DELTAS_RAD[act] / env.cfg.stack.spacing)))
+            for act in (Action.FINE_POSITIVE, Action.COARSE_POSITIVE)
         )
 
     def _measure(self):
@@ -336,7 +337,7 @@ class _Climber:
         env = self.env
         env.reset_at(start_index)
         here = self._measure()
-        if env.n_positions == 1 or self._out_of_budget():
+        if self._out_of_budget() or not (self._in_range(self.fine) or self._in_range(-self.fine)):
             return self._terminate()
 
         # Fine probe: try positive first, mirrored at the upper edge.
@@ -564,18 +565,20 @@ class TestHillClimb:
         with pytest.raises(ValueError, match="start index 21"):
             hill_climb_episode(tiny_env, 21)
 
-    def test_needs_a_one_index_fine_move(self):
-        # At 0.1 rad spacing the fine move is 3 indices, so the climber's
-        # one-index moves have no action, as in the reference.
+    @pytest.mark.parametrize("spacing,z_max,z_star",
+                             [(0.1, 36.0, 32.4), (0.05, 36.0, 32.4), (0.1, 30.3, 30.1)],
+                             ids=["spacing_0.1", "spacing_0.05", "four_positions"])
+    def test_equals_scanning_climber_on_finer_grids(self, spacing, z_max, z_star):
+        # A fine move spans 3 indices at 0.1 rad and 6 at 0.05 rad.  On the
+        # four-position stack neither fine move is in range from the two
+        # middle starts, so the climb ends where it starts.
         stack = generate_stack(render_scene(seed=3, width=32, height=32), z_min=30.0,
-                               z_max=33.0, spacing=0.1, z_star=31.0, blur_gain=0.5)
-        env = AutofocusEnv(EnvConfig(stack=stack, net_input_size=16))
-        for climb in (hill_climb, lambda env: _Climber(env).run(0)):
-            with pytest.raises(ValueError, match="no action moves"):
-                climb(env)
-        # With one action there is no move to make: both stop where they start.
-        env = AutofocusEnv(EnvConfig(stack=stack, max_steps=1, net_input_size=16))
-        assert hill_climb_episode(env, 4) == _Climber(env).run(4)
+                               z_max=z_max, spacing=spacing, z_star=z_star)
+        for env in _budgeted_envs(AutofocusEnv(EnvConfig(stack=stack, net_input_size=16))):
+            reference = _Climber(env)
+            want = [reference.run(start) for start in range(env.n_positions)]
+            assert [hill_climb_episode(env, start) for start in range(env.n_positions)] == want
+            assert hill_climb(env) == EvalReport.from_episodes(want)
 
     def test_peak_start_probes_then_stops(self, tiny_env):
         # From the peak both fine probes read downhill, so the climber

@@ -5,10 +5,13 @@ configuration (96px scene, 16px net input, a few hundred steps) so the
 whole file stays fast while still exercising real training runs.
 """
 
+import dataclasses
+import inspect
 import json
 import os
 from pathlib import Path
 import platform
+import re
 import shutil
 import struct
 
@@ -17,9 +20,10 @@ import pytest
 
 from focusrl import baselines
 from focusrl.agent import Hyperparams
-from focusrl.cli import _write_json, list_presets, load_config, main
-from focusrl.env import AutofocusEnv
-from focusrl.imaging import load_stack
+from focusrl.cli import StackSource, _write_json, list_presets, load_config, main
+from focusrl.env import AutofocusEnv, EnvConfig
+from focusrl.imaging import generate_stack, load_stack
+from focusrl.net import NetArch
 
 MINI = {
     "seed": 5,
@@ -43,7 +47,6 @@ MINI = {
         "learn_start": 50,
         "eval_interval": 100,
         "target_sync": 100,
-        "replay_capacity": 400,
     },
 }
 
@@ -114,15 +117,64 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"{key} must be a number" in err
 
-    @pytest.mark.parametrize("section,key", [("env", "net_input_size"), ("net", "history"),
-                                             ("net", "action_vocab"), ("net", "n_actions")])
+    @pytest.mark.parametrize("section,key", [
+        ("env", "net_input_size"), ("net", "history"), ("net", "action_vocab"),
+        ("net", "n_actions"), ("env", "success_ratio"), ("env", "reward_coeff"),
+        ("env", "bonus_magnitude"), ("train", "epsilon_start"), ("train", "epsilon_end"),
+        ("train", "epsilon_fraction"), ("train", "replay_capacity"), ("train", "batch_size"),
+        ("train", "learning_rate"), ("net", "kernel_size"), ("net", "bn_momentum"),
+        ("net", "bn_eps"),
+    ])
     def test_settings_the_program_fixes_are_unknown_keys(self, section, key, tmp_path, capsys):
-        # The env renders at net.input_size; the env fixes the action sizes.
+        # The env renders at net.input_size; the env fixes the action sizes;
+        # the reward scheme, exploration, replay, optimiser, kernel size and
+        # batch norm constants are the method's fixed recipe.
         doc = dict(MINI, **{section: {key: 16}})
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["count", "--config", str(path)]) == 2
         assert f"unknown {section} keys: {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,section,key,value", [
+        ("value-iteration", "env", "max_steps", 2.5), ("train", "env", "max_steps", 20.0),
+        ("train", "train", "total_timesteps", 50.5), ("train", "train", "target_sync", 100.0),
+        ("train", "train", "learn_start", 5e1), ("train", "train", "eval_interval", 1.5),
+        ("train", None, "seed", 5.5), ("train", None, "seed", True), ("train", None, "seed", "5"),
+    ])
+    def test_a_count_that_is_not_an_integer_is_a_clean_error(self, command, section, key, value,
+                                                              tmp_path, capsys):
+        if section is None:
+            doc = dict(MINI, **{key: value})
+        else:
+            doc = dict(MINI, **{section: dict(MINI.get(section, {}), **{key: value})})
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "run"
+        argv = ["train", "--out", str(out)] if command == "train" else ["baseline", command]
+        assert main([*argv, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err and "integer" in err
+        assert not out.exists()
+
+    def test_settable_fields_are_the_readmes_list(self):
+        # README "Command line" lists what each config section may set, in a
+        # "- `section` may set ..." item each; a new setting must be added there.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        items = re.findall(r"^- `(env|net|train)` may set (.*?)\.$", readme, re.M | re.S)
+        listed = {section: set(re.findall(r"`(\w+)`", keys)) for section, keys in items}
+        settable = {
+            "env": {f.name for f in dataclasses.fields(EnvConfig)} - {"stack", "net_input_size"},
+            "net": {f.name for f in dataclasses.fields(NetArch)},
+            "train": {f.name for f in dataclasses.fields(Hyperparams)},
+        }
+        assert listed == settable
+        assert sum(map(len, settable.values())) == 11
+
+    def test_a_stack_without_blur_gain_takes_the_generators_default(self):
+        section = {k: v for k, v in MINI["stack"].items() if k != "blur_gain"}
+        stack = StackSource.parse(section, "stack").build()
+        default = inspect.signature(generate_stack).parameters["blur_gain"].default
+        assert stack.blur_gain == default == 0.5
 
 
 class TestCount:
@@ -371,6 +423,8 @@ class TestEval:
             lambda h: h["arch"].update(bn_eps=-1.0),
             lambda h: h["arch"].update(bn_momentum="0.99"),
             lambda h: h["arch"].update(bn_momentum=1.5),
+            lambda h: h["arch"].update(bn_momentum=0.9),
+            lambda h: h["arch"].update(kernel_size=3),
         ],
         ids=[
             "arch_unknown_key", "arch_bad_channels", "arch_float_size", "arch_not_object",
@@ -378,7 +432,7 @@ class TestEval:
             "arrays_not_list", "entry_without_shape", "entry_without_name",
             "name_not_string", "shape_not_list", "negative_dim", "float_dim",
             "duplicate_entry", "reordered_entries", "bn_eps_string", "bn_eps_negative",
-            "bn_momentum_string", "bn_momentum_above_one",
+            "bn_momentum_string", "bn_momentum_above_one", "bn_momentum_other", "kernel_size_other",
         ],
     )
     def test_malformed_header_values_are_clean_errors(

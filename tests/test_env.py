@@ -76,17 +76,18 @@ class TestEnvConfig:
         with pytest.raises(ValueError):
             EnvConfig(stack=tiny_stack, max_steps=0)
         with pytest.raises(ValueError):
-            EnvConfig(stack=tiny_stack, success_ratio=1.0)
-        with pytest.raises(ValueError):
-            EnvConfig(stack=tiny_stack, success_ratio=0.0)
-        with pytest.raises(ValueError):
-            EnvConfig(stack=tiny_stack, bonus_magnitude=0.0)
+            EnvConfig(stack=tiny_stack, net_input_size=8)
 
     @pytest.mark.parametrize("key,value", [("max_steps", "20"), ("max_steps", True),
-                                           ("success_ratio", None), ("reward_coeff", [10.0]),
-                                           ("bonus_magnitude", False), ("net_input_size", "32")])
+                                           ("net_input_size", "32")])
     def test_rejects_a_value_that_is_not_a_number(self, tiny_stack, key, value):
         with pytest.raises(ValueError, match=key):
+            EnvConfig(stack=tiny_stack, **{key: value})
+
+    @pytest.mark.parametrize("key,value", [("max_steps", 2.5), ("max_steps", 20.0),
+                                           ("net_input_size", 32.0)])
+    def test_rejects_a_count_that_is_not_an_integer(self, tiny_stack, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
             EnvConfig(stack=tiny_stack, **{key: value})
 
     def test_defaults(self, tiny_stack):
